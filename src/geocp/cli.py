@@ -15,11 +15,10 @@ import sys
 from pathlib import Path
 
 from . import percolation, rgg
-from .contact import sample_extinction_times
+from .contact import replica_seed, sample_extinction_times
 from .experiments import (ResultTable, emit_plot_data, exp1_survival_plot,
                           parse_config, run_experiment)
 from .graphs import CaterpillarSpec, build_caterpillar, build_complete, read_edge_list, write_edge_list
-from .rng import derive_seed
 
 log = logging.getLogger("geocp")
 
@@ -61,7 +60,8 @@ def _add_simulate(sub):
     p.add_argument("--t-cap", type=float, default=None)
     p.add_argument("--replicas", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="CSV of (seed, tau, censored)")
+    p.add_argument("--out", required=True,
+                   help="CSV of (seed, tau, censored); each row's seed reruns it in simulate_extinction")
 
 
 def _cmd_simulate(args) -> int:
@@ -71,7 +71,7 @@ def _cmd_simulate(args) -> int:
     taus, cens = sample_extinction_times(g, args.lam, args.t_cap, args.seed, args.replicas)
     lines = ["seed,tau,censored"]
     for i in range(args.replicas):
-        lines.append(f"{derive_seed(args.seed, i)},{float(taus[i])!r},{'true' if cens[i] else 'false'}")
+        lines.append(f"{replica_seed(args.seed, i)},{float(taus[i])!r},{'true' if cens[i] else 'false'}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     log.info("wrote %d samples to %s (mean %.4g)", args.replicas, args.out, taus.mean())
     return 0

@@ -262,12 +262,16 @@ def _embedding_cell(args):
     return r_pow_d, idx, rep_seed, bool(ok), emb.spine_length, min_block, mu_half
 
 
+# fixed seed salts per d = 1 regime ("CN", "FR"); str hashes vary per process
+_D1_REGIME_TAGS = {"connect": 0x434E, "fragment": 0x4652}
+
+
 def _d1_cell(args):
     geo, regime, factor, idx, master = args
     n = geo["n"]
     radius = factor * math.log(n)
     cfg = rgg.GeometryConfig(n, radius, 1, None, geo["b"], geo["B"])
-    rep_seed = derive_seed(master, mix64(idx, hash(regime) & 0xFFFF))
+    rep_seed = derive_seed(master, mix64(idx, _D1_REGIME_TAGS[regime]))
     cloud = rgg.sample_poisson_points(cfg, rep_seed)
     coords = np.sort(cloud.points[:, 0])
     if coords.size == 0:

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from geocp.contact import (ContactConfig, ContactEngine, TauSample,
+from geocp import rgg
+from geocp.contact import (ContactConfig, ContactEngine, TauSample, _block_sums,
+                           _extinction_kernel, _healthy_flags, _pick_target, _start_state,
                            birth_death_clique_simulate, dual_from_record,
                            forward_from_record, lit_snapshots, record_event_window,
                            sample_extinction_times, simulate_coupled, simulate_dual,
                            simulate_extinction, simulate_rate_coupled,
                            sizes_to_csv_text)
 from geocp.exact import exact_clique_extinction, exact_expected_extinction_ctmc
+from geocp.experiments import battery_graphs
 from geocp.graphs import (CaterpillarSpec, Graph, build_caterpillar, build_complete,
                           random_connected_graph)
 
@@ -209,3 +212,114 @@ def test_lit_fraction_predicts_survival():
         survived.append(len(snaps) >= 11)
     corr = np.corrcoef(lit_frac, np.asarray(survived, float))[0, 1]
     assert corr > 0
+
+
+def test_initial_validated_by_both_entry_points():
+    g = build_complete(3)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            sample_extinction_times(g, 0.5, None, 1, 3, initial=[bad])
+        with pytest.raises(ValueError, match="out of range"):
+            simulate_extinction(g, ContactConfig(0.5, seed=1), initial=[0, bad])
+
+
+def _walk_target(r, healthy, nb):
+    """Reference target choice: walk the pressures in vertex order, falling
+    back to the last vertex with positive pressure when r >= S."""
+    acc = 0.0
+    for v in range(len(nb)):
+        if healthy[v] and nb[v] > 0:
+            acc += nb[v]
+            if r < acc:
+                return v
+    return max(v for v in range(len(nb)) if healthy[v] and nb[v] > 0)
+
+
+def test_pick_target_matches_linear_walk():
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(1, 300))
+        healthy = rng.integers(0, 2, n).tolist()
+        nb = (rng.integers(0, 4, n) * (rng.random(n) < 0.3)).tolist()
+        if trial % 3 == 0:  # leave whole blocks without pressure
+            nb[n // 3:2 * n // 3] = [0] * (2 * n // 3 - n // 3)
+        block = _block_sums(healthy, nb)
+        total = sum(block)
+        if total == 0:
+            continue
+        cum = np.cumsum(np.multiply(healthy, nb))
+        probes = {0.0, total - 1e-9, float(total), total + 0.5}
+        probes.update(float(c) for c in cum)
+        probes.update(float(np.nextafter(c, -1.0)) for c in cum if c > 0)
+        probes.update((rng.random(20) * total).tolist())
+        for r in sorted(probes):
+            assert _pick_target(r, healthy, nb, block) == _walk_target(r, healthy, nb), (n, r)
+
+
+def _small_rgg():
+    cloud = rgg.sample_poisson_points(rgg.GeometryConfig(200.0, 1.5, 2), 5)
+    return rgg.build_rgg(cloud, 1.5)
+
+
+def test_audit_every_event_changes_nothing():
+    cells = [(build_complete(5), 1.0, -1.0),
+             (build_caterpillar(CaterpillarSpec(1, 4)).graph, 1.0, 20.0),
+             (_small_rgg(), 0.3, 10.0)]
+    rs = np.random.RandomState()
+    for g, lam, cap in cells:
+        start = _start_state(g.adjacency, _healthy_flags(g.vertex_count, None))
+        for seed in range(5):
+            plain = _extinction_kernel(g.adjacency, start, lam, cap, rs, seed)
+            audited = _extinction_kernel(g.adjacency, start, lam, cap, rs, seed, audit_every=1)
+            assert audited == plain
+            assert plain[2] > 0
+
+
+def test_audit_catches_inconsistent_bookkeeping():
+    k5 = build_complete(5)
+    start5 = _start_state(k5.adjacency, _healthy_flags(5, [0]))
+    assert start5.block == [4] and start5.pressure == 4
+    edge = Graph.from_edges(70, [(0, 69)])
+    start70 = _start_state(edge.adjacency, _healthy_flags(70, [0]))
+    assert start70.block == [0, 1] and start70.pressure == 1
+    broken = ((k5, start5._replace(pressure=3)),  # S off
+              (k5, start5._replace(block=[5], pressure=5)),  # both off, consistent with each other
+              (edge, start70._replace(block=[1, 0])))  # block sums off, S right
+    rs = np.random.RandomState()
+    for g, bad in broken:
+        for seed in range(3):
+            with pytest.raises(RuntimeError, match="bookkeeping diverged"):
+                _extinction_kernel(g.adjacency, bad, 1.0, -1.0, rs, seed, audit_every=1)
+
+
+def test_golden_extinction_times():
+    """Exact taus recorded from the numpy-array kernel this one replaced,
+    with a linear target walk; any change to the stream shows here.  numpy's
+    global random state is left as it was."""
+    np.random.seed(2024)
+    before = np.random.get_state()
+    battery = battery_graphs(90210, 1, 2.0, 300.0)[0]
+    assert battery.adjacency == ((3, 4), (2, 4), (1, 5), (0, 6), (0, 1), (2, 6), (3, 5))
+    cloud = rgg.sample_poisson_points(rgg.GeometryConfig(60.0, 1.5, 2), 4)
+    small = rgg.build_rgg(cloud, 1.5)
+    assert (small.vertex_count, small.edge_count) == (53, 153)
+    cat = build_caterpillar(CaterpillarSpec(2, 3)).graph
+    cases = [
+        ((build_complete(2), 1.0, None, 7, 3, None),
+         ["1.322998910714195", "0.5766142636478195", "1.8418116223577563"], [False] * 3),
+        ((battery, 2.0, None, 90210, 3, None),
+         ["2.8349033282677634", "14.333864044416847", "64.28292723822568"], [False] * 3),
+        ((cat, 0.5, 8.0, 5, 4, None),
+         ["6.9155772781166345", "8.0", "6.308800952469881", "8.0"], [False, True, False, True]),
+        ((small, 0.2, None, 12, 3, range(0, 53, 4)),
+         ["16.91681764804917", "20.794444813376682", "4.827534008080795"], [False] * 3),
+    ]
+    for args, taus, censored in cases:
+        got_taus, got_censored = sample_extinction_times(*args)
+        assert [repr(float(t)) for t in got_taus] == taus
+        assert got_censored.tolist() == censored
+    single = simulate_extinction(small, ContactConfig(0.6, 3.0, seed=2**40 + 9), initial=[1, 2])
+    assert repr(single.tau) == "0.3872899436172398" and not single.censored
+    after = np.random.get_state()
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from geocp.cli import main as cli_main
+from geocp.contact import ContactConfig, simulate_extinction
+from geocp.graphs import build_complete
 from geocp.experiments import (ConfigError, ExperimentConfig, ResultTable,
                                emit_plot_data, exp1_survival_plot, parse_config,
                                run_experiment)
@@ -142,6 +148,37 @@ def test_cli_generate_simulate(tmp_path):
                    "--points-out", str(tmp_path / "pts.txt")])
     assert rc == 0
     assert (tmp_path / "pts.txt").exists()
+
+
+def test_cli_simulate_seed_column_reruns_each_row(tmp_path):
+    out = tmp_path / "tau.csv"
+    assert cli_main(["simulate", "--complete", "4", "--lam", "1.0", "--t-cap", "3.0",
+                     "--replicas", "6", "--seed", "1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    assert {censored for _, _, censored in rows} == {"true", "false"}
+    for seed, tau, censored in rows:
+        s = simulate_extinction(build_complete(4), ContactConfig(1.0, 3.0, seed=int(seed)))
+        assert repr(s.tau) == tau
+        assert s.censored == (censored == "true")
+
+
+def test_d1_regimes_independent_of_hash_seed(tmp_path):
+    """Replica seeds must not depend on Python's per-process string hashing."""
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out_dir = tmp_path / f"hash{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "geocp.cli", "experiment",
+                        "--config", str(root / "configs/suite/d1-regimes.cfg"),
+                        "--out-dir", str(out_dir), "--workers", "1"],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append({f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
+    assert sorted(outputs[0]) == ["d1-regimes.csv", "d1-regimes_summary.json"]
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_percolation_and_embedding(capsys):
