@@ -9,10 +9,10 @@ extinction-time scaling and the unit-exponential metastability limit.
 from .bounds import (BoundReport, bound_report, early_extinction_floor,
                      extinction_time_bound, log_clique_persistence_time,
                      log_extinction_time_bound, rgg_log_tau_scale, ruin_probability)
-from .contact import (ContactConfig, ContactEngine, LitSnapshot, TauSample,
-                      birth_death_clique_simulate, lit_snapshots, record_event_window,
-                      sample_extinction_times, simulate_coupled, simulate_dual, sizes_to_csv_text,
-                      simulate_extinction, simulate_rate_coupled)
+from .contact import (ContactConfig, LitSnapshot, TauSample, birth_death_clique_simulate,
+                      lit_snapshots, record_event_window, sample_extinction_times,
+                      simulate_coupled, simulate_dual, simulate_extinction,
+                      simulate_rate_coupled)
 from .errors import BudgetExceededError
 from .exact import (clique_extinction_rates, exact_clique_extinction,
                     exact_expected_extinction_ctmc, log_exact_clique_extinction,

@@ -5,23 +5,26 @@ recovers at rate 1, and every healthy vertex becomes infected at rate
 lam times its number of infected neighbors.  Extinction time tau is the
 first time the infected set is empty.
 
-Two complementary engines live here:
+Two routes sample the process:
 
-* `simulate_extinction` / `sample_extinction_times`: next-event (Gillespie)
-  sampling over an integer bookkeeping of healthy-vertex infection
-  pressures, in plain Python over the graph's adjacency tuples.  This is
-  the workhorse for extinction-time statistics.  Pressures are also summed
+* one next-event (Gillespie) engine, `_extinction_kernel`, behind
+  `simulate_extinction`, `sample_extinction_times` and `lit_snapshots`.  It
+  keeps an integer bookkeeping of healthy-vertex infection pressures in
+  plain Python over the graph's adjacency tuples.  Pressures are also summed
   per block of 64 vertices, so the infection target is found by a search
   over the block sums and then inside one block instead of a walk over
   every vertex.  The sums are integer-exact and re-audited against a
   from-scratch recount every 10^6 events.  Draws come from a private
-  numpy RandomState; numpy's global random state is never touched.
+  numpy RandomState; numpy's global random state is never touched.  The
+  engine can record the infected set at a fixed cadence, which draws
+  nothing, so a recorded run is the same replica as an unrecorded one.
 
 * a graphical construction over a fixed time window, built from
   counter-based clock streams keyed by (seed, stream id, occurrence
-  index).  All coupling and duality features run on it: two initial sets
-  share every recovery and infection clock, several infection rates share
-  thinned clocks, and the time-reversed window gives the dual process.
+  index).  All coupling and duality features run on it: one sweep over the
+  recorded clocks carries forward runs, initial sets that share every
+  clock, and infection rates that share thinned clocks; the time-reversed
+  window gives the dual process.
 
 Simultaneous events have probability zero in continuous time; if the
 discrete generators ever collide, recoveries are applied before
@@ -33,7 +36,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heappush, heappop
 from itertools import accumulate
 from operator import mul
@@ -54,10 +56,15 @@ class ContactConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("infection rate must be positive")
-        if self.t_cap is not None and self.t_cap < 0:
-            raise ValueError("t_cap must be non-negative")
+        _check_rates(self.lam, self.t_cap)
+
+
+def _check_rates(lam: float, t_cap: float | None) -> None:
+    """Written so that NaN fails both checks."""
+    if not 0 < lam < math.inf:
+        raise ValueError("infection rate must be positive and finite")
+    if t_cap is not None and not t_cap >= 0:
+        raise ValueError("t_cap must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -75,26 +82,11 @@ class TauSample:
 
 
 @dataclass(frozen=True)
-class InfectionState:
-    """Snapshot of the engine: infected set plus the healthy-vertex
-    infection-pressure sum the sampler relies on."""
-
-    time: float
-    infected: frozenset[int]
-    pressure_sum: int
-
-
-@dataclass(frozen=True)
 class LitSnapshot:
     """Per-spine-vertex flags: clique holds at least clique_size/4 infected."""
 
     time: float
     lit: tuple[bool, ...]
-
-
-@lru_cache(maxsize=128)
-def _fingerprint(g: Graph) -> str:
-    return g.fingerprint()
 
 
 _BLOCK_SHIFT = 6  # pressure sums are kept per block of 64 consecutive vertices
@@ -163,7 +155,8 @@ def _pick_target(r: float, healthy: list[int], nb: list[int], block: list[int]) 
 
 def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, lam: float,
                        t_cap: float, rs: np.random.RandomState, seed: int,
-                       audit_every: int = 1_000_000) -> tuple[float, bool, int]:
+                       audit_every: int = 1_000_000, snapshots: list | None = None,
+                       cadence: float = 0.0) -> tuple[float, bool, int]:
     """One replica from `start`, which is left unchanged; t_cap < 0 means
     no cap.  Returns (tau, censored, events).
 
@@ -171,12 +164,17 @@ def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, l
     order: the waiting time, the event kind, then the recovering vertex's
     slot in the infected list or the infection target.  Every
     `audit_every` events the block sums and the pressure sum are recounted.
+
+    With a `snapshots` list, (j * cadence, frozenset(infected)) is appended
+    for every j * cadence up to the smaller of the next event time and the
+    cap, before that event applies.  Recording draws nothing.
     """
     rs.seed(seed)
     random = rs.random_sample
     randint = rs.randint
     log = math.log
     shift = _BLOCK_SHIFT
+    horizon = t_cap if t_cap >= 0.0 else math.inf
     healthy = start.healthy[:]
     nb = start.nb[:]
     block = start.block[:]
@@ -185,13 +183,20 @@ def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, l
     t = 0.0
     events = 0
     next_audit = audit_every
+    snap_index = 0
+    next_snap = math.inf if snapshots is None else 0.0
     while inf_list:
         k = len(inf_list)
         total = k + lam * S
-        dt = -log(1.0 - random()) / total
-        if t_cap >= 0.0 and t + dt > t_cap:
+        t_next = t - log(1.0 - random()) / total  # bitwise t + Exp(total)
+        if t_next >= next_snap:
+            while next_snap <= t_next and next_snap <= horizon:
+                snapshots.append((next_snap, frozenset(inf_list)))
+                snap_index += 1
+                next_snap = snap_index * cadence
+        if t_next > horizon:
             return t_cap, True, events
-        t += dt
+        t = t_next
         events += 1
         if random() * total < k:
             idx = randint(0, k) if k > 1 else 0  # randint(0, 1) draws nothing
@@ -236,15 +241,19 @@ def simulate_extinction(g: Graph, cfg: ContactConfig, initial: Iterable[int] | N
     Replica i of `sample_extinction_times(g, cfg.lam, cfg.t_cap, master, ...)`
     is this run with cfg.seed = replica_seed(master, i).
     """
-    n = g.vertex_count
-    healthy = _healthy_flags(n, initial)
-    if n == 0:
-        return TauSample(0.0, False, cfg.seed, "empty")
+    tau, censored, _ = _replica(g, cfg, initial)
+    return TauSample(float(tau), bool(censored), cfg.seed,
+                     g.fingerprint() if g.vertex_count else "empty")
+
+
+def _replica(g: Graph, cfg: ContactConfig, initial: Iterable[int] | None,
+             snapshots: list | None = None, cadence: float = 0.0) -> tuple[float, bool, int]:
+    """The kernel run behind `simulate_extinction` and `lit_snapshots`."""
+    healthy = _healthy_flags(g.vertex_count, initial)
     cap = -1.0 if cfg.t_cap is None else float(cfg.t_cap)
-    tau, censored, _ = _extinction_kernel(g.adjacency, _start_state(g.adjacency, healthy),
-                                          float(cfg.lam), cap, np.random.RandomState(),
-                                          cfg.seed & 0x7FFFFFFF)
-    return TauSample(float(tau), bool(censored), cfg.seed, _fingerprint(g))
+    return _extinction_kernel(g.adjacency, _start_state(g.adjacency, healthy), float(cfg.lam),
+                              cap, np.random.RandomState(), cfg.seed & 0x7FFFFFFF,
+                              snapshots=snapshots, cadence=cadence)
 
 
 def replica_seed(master_seed: int, i: int) -> int:
@@ -259,6 +268,7 @@ def sample_extinction_times(g: Graph, lam: float, t_cap: float | None, master_se
     """Replica fan-out of `simulate_extinction`; replica i runs on seed
     replica_seed(master_seed, i), so results never depend on batching.
     numpy's global random state is left untouched."""
+    _check_rates(lam, t_cap)
     healthy = _healthy_flags(g.vertex_count, initial)
     taus = np.empty(replicas)
     censored = np.empty(replicas, dtype=bool)
@@ -274,126 +284,6 @@ def sample_extinction_times(g: Graph, lam: float, t_cap: float | None, master_se
         taus[i] = tau
         censored[i] = cens
     return taus, censored
-
-
-# ---------------------------------------------------------------------------
-# reference engine with snapshots and audits
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EngineRun:
-    tau: float
-    censored: bool
-    events: int
-    snapshots: tuple[tuple[float, frozenset], ...]
-    sizes: tuple[tuple[float, int], ...]
-
-
-class ContactEngine:
-    """Pure-python next-event simulator; slower than the kernel but able to
-    record states, and used to cross-check it."""
-
-    def __init__(self, graph: Graph, lam: float, seed: int):
-        if lam <= 0:
-            raise ValueError("infection rate must be positive")
-        self.graph = graph
-        self.lam = lam
-        self.rng = np.random.default_rng(mix64(seed, TAG_CONTACT))
-        self._reset(range(graph.vertex_count))
-
-    def _reset(self, initial: Iterable[int]) -> None:
-        n = self.graph.vertex_count
-        self.infected = [False] * n
-        self.inf_set: set[int] = set()
-        self.inf_nb = [0] * n
-        for v in initial:
-            self.infected[v] = True
-            self.inf_set.add(v)
-        for v in self.inf_set:
-            for w in self.graph.adjacency[v]:
-                self.inf_nb[w] += 1
-        self.pressure = sum(self.inf_nb[v] for v in range(n) if not self.infected[v])
-        self.time = 0.0
-
-    def state(self) -> InfectionState:
-        return InfectionState(self.time, frozenset(self.inf_set), self.pressure)
-
-    def audit(self) -> None:
-        """Recompute the bookkeeping from scratch and compare."""
-        n = self.graph.vertex_count
-        nb = [0] * n
-        for v in self.inf_set:
-            for w in self.graph.adjacency[v]:
-                nb[w] += 1
-        if nb != self.inf_nb:
-            raise RuntimeError("neighbor-count bookkeeping diverged")
-        pressure = sum(nb[v] for v in range(n) if not self.infected[v])
-        if pressure != self.pressure:
-            raise RuntimeError("infection-pressure bookkeeping diverged")
-
-    def _recover(self, v: int) -> None:
-        self.infected[v] = False
-        self.inf_set.discard(v)
-        self.pressure += self.inf_nb[v]
-        for w in self.graph.adjacency[v]:
-            self.inf_nb[w] -= 1
-            if not self.infected[w]:
-                self.pressure -= 1
-
-    def _infect(self, v: int) -> None:
-        self.infected[v] = True
-        self.inf_set.add(v)
-        self.pressure -= self.inf_nb[v]
-        for w in self.graph.adjacency[v]:
-            self.inf_nb[w] += 1
-            if not self.infected[w]:
-                self.pressure += 1
-
-    def run(self, initial: Iterable[int] | None = None, t_cap: float | None = None,
-            snapshot_interval: float | None = None, size_log_limit: int = 0,
-            audit_every: int = 1_000_000) -> EngineRun:
-        if initial is None:
-            initial = range(self.graph.vertex_count)
-        self._reset(initial)
-        snapshots: list[tuple[float, frozenset]] = []
-        sizes: list[tuple[float, int]] = []
-        next_snap = 0.0
-        events = 0
-        while self.inf_set:
-            k = len(self.inf_set)
-            total = k + self.lam * self.pressure
-            dt = self.rng.exponential(1.0 / total)
-            t_next = self.time + dt
-            horizon = t_cap if t_cap is not None else math.inf
-            while snapshot_interval and next_snap <= min(t_next, horizon):
-                snapshots.append((next_snap, frozenset(self.inf_set)))
-                next_snap += snapshot_interval
-            if t_cap is not None and t_next > t_cap:
-                return EngineRun(t_cap, True, events, tuple(snapshots), tuple(sizes))
-            self.time = t_next
-            events += 1
-            u = self.rng.random() * total
-            if u < k:
-                idx = int(self.rng.integers(k))
-                v = sorted(self.inf_set)[idx]
-                self._recover(v)
-            else:
-                r = self.rng.random() * self.pressure
-                acc = 0.0
-                target = -1
-                for v in range(self.graph.vertex_count):
-                    if not self.infected[v] and self.inf_nb[v] > 0:
-                        acc += self.inf_nb[v]
-                        if r < acc:
-                            target = v
-                            break
-                self._infect(target)
-            if size_log_limit and len(sizes) < size_log_limit:
-                sizes.append((self.time, len(self.inf_set)))
-            if events % audit_every == 0:
-                self.audit()
-        return EngineRun(self.time, False, events, tuple(snapshots), tuple(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +334,11 @@ def record_event_window(g: Graph, lam: float, seed: int, horizon: float) -> Even
     return EventRecord(g, lam, horizon, tuple(events))
 
 
-def _mask_of(vertices: Iterable[int]) -> int:
+def _mask_of(vertices: Iterable[int], n: int) -> int:
     mask = 0
     for v in vertices:
+        if not (0 <= v < n):
+            raise ValueError(f"vertex {v} out of range")
         mask |= 1 << v
     return mask
 
@@ -462,6 +354,55 @@ def _set_of(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _sweep(record: EventRecord, masks: Sequence[int], accept: Sequence[float], t_end: float
+           ) -> tuple[list[int], list[float | None], int]:
+    """Run the process from each vertex mask over the recorded events up to t_end.
+
+    Mask i takes an infection whose mark is below accept[i].  Returns the
+    final masks, each mask's extinction time (0.0 if it starts empty, None
+    while alive) and the number of events applied.  When each mask starts
+    inside the next one, containment is re-checked after every event; a
+    violation can only mean an engine bug.
+
+    The k masks sit side by side in one int, n bits each, so an event is a
+    few big-int operations whatever k is.
+    """
+    n = record.graph.vertex_count
+    k = len(masks)
+    full = (1 << n) - 1
+    ranked = sorted(range(k), key=accept.__getitem__)
+    thresholds = [accept[i] for i in ranked]
+    suffix = [0] * (k + 1)  # suffix[j]: bit 0 of the slots ranked j and above
+    for j in range(k - 1, -1, -1):
+        suffix[j] = suffix[j + 1] | 1 << ranked[j] * n
+    ones = suffix[0]
+    state = 0
+    for i, m in enumerate(masks):
+        state |= m << i * n
+    lower = (1 << (k - 1) * n) - 1  # every slot but the last
+    if state & ~(state >> n) & lower:
+        lower = 0  # the masks do not start nested: no containment to keep
+    taus = [None if m else 0.0 for m in masks]
+    events = 0
+    for t, _sid, _c, kind, a, b, mark in record.events:
+        if t > t_end or not state:
+            break
+        events += 1
+        hit = state >> a & ones  # bit 0 of every slot in which a is infected
+        if not hit:
+            continue  # the event changes no mask
+        if kind == _RECOVERY:
+            state ^= hit << a
+            for i in range(k):
+                if taus[i] is None and not state >> i * n & full:
+                    taus[i] = t
+        else:
+            state |= (hit & suffix[bisect_right(thresholds, mark)]) << b
+        if lower and state & ~(state >> n) & lower:
+            raise RuntimeError("coupling containment violated: engine bug")
+    return [state >> i * n & full for i in range(k)], taus, events
+
+
 def forward_from_record(record: EventRecord, initial: Iterable[int], t_end: float,
                         lam_eff: float | None = None) -> frozenset[int]:
     """State at time t_end of the process driven by the recorded clocks.
@@ -474,15 +415,8 @@ def forward_from_record(record: EventRecord, initial: Iterable[int], t_end: floa
     accept = 1.0 if lam_eff is None else lam_eff / record.lam
     if accept > 1.0:
         raise ValueError("thinned rate cannot exceed the recorded rate")
-    mask = _mask_of(initial)
-    for t, _sid, _c, kind, a, b, mark in record.events:
-        if t > t_end or not mask:
-            break
-        if kind == _RECOVERY:
-            mask &= ~(1 << a)
-        elif mark < accept and mask >> a & 1:
-            mask |= 1 << b
-    return _set_of(mask)
+    (final,), _, _ = _sweep(record, [_mask_of(initial, record.graph.vertex_count)], [accept], t_end)
+    return _set_of(final)
 
 
 def dual_from_record(record: EventRecord, targets: Iterable[int], t_end: float
@@ -493,7 +427,7 @@ def dual_from_record(record: EventRecord, targets: Iterable[int], t_end: float
     arrows reversed."""
     if t_end > record.horizon:
         raise ValueError("window exceeds the recorded stream")
-    mask = _mask_of(targets)
+    mask = _mask_of(targets, record.graph.vertex_count)
     traj = [(0.0, _set_of(mask))]
     relevant = [ev for ev in record.events if ev[0] <= t_end]
     for t, _sid, _c, kind, a, b, _mark in reversed(relevant):
@@ -545,30 +479,9 @@ def simulate_coupled(g: Graph, cfg: ContactConfig, initial_low: Iterable[int],
     if cfg.t_cap is None:
         raise ValueError("coupled runs need a finite t_cap window")
     record = record_event_window(g, cfg.lam, cfg.seed, cfg.t_cap)
-    low = _mask_of(initial_low)
-    high = _mask_of(initial_high)
-    check = (low & ~high) == 0
-    tau_low = 0.0 if not low else None
-    tau_high = 0.0 if not high else None
-    events = 0
-    for t, _sid, _c, kind, a, b, _mark in record.events:
-        if not low and not high:
-            break
-        if kind == _RECOVERY:
-            low &= ~(1 << a)
-            high &= ~(1 << a)
-        else:
-            if low >> a & 1:
-                low |= 1 << b
-            if high >> a & 1:
-                high |= 1 << b
-        events += 1
-        if check and low & ~high:
-            raise RuntimeError("coupling containment violated: engine bug")
-        if tau_low is None and not low:
-            tau_low = t
-        if tau_high is None and not high:
-            tau_high = t
+    n = g.vertex_count
+    (low, high), (tau_low, tau_high), events = _sweep(
+        record, [_mask_of(initial_low, n), _mask_of(initial_high, n)], [1.0, 1.0], cfg.t_cap)
     return CoupledRun(tau_low, tau_high, _set_of(low), _set_of(high), events)
 
 
@@ -581,40 +494,20 @@ def simulate_rate_coupled(g: Graph, lams: Sequence[float], seed: int, horizon: f
     """
     if not lams:
         raise ValueError("need at least one rate")
+    if not all(0 < x < math.inf for x in lams):
+        raise ValueError("infection rates must be positive and finite")
     rates = sorted(set(float(x) for x in lams))
     lam_max = rates[-1]
     record = record_event_window(g, lam_max, seed, horizon)
-    init = range(g.vertex_count) if initial is None else list(initial)
-    masks = {lam: _mask_of(init) for lam in rates}
-    taus: dict[float, float | None] = {lam: (0.0 if not masks[lam] else None) for lam in rates}
-    for t, _sid, _c, kind, a, b, mark in record.events:
-        if all(m == 0 for m in masks.values()):
-            break
-        for lam in rates:
-            mask = masks[lam]
-            if kind == _RECOVERY:
-                mask &= ~(1 << a)
-            elif mark < lam / lam_max and mask >> a & 1:
-                mask |= 1 << b
-            masks[lam] = mask
-            if taus[lam] is None and not mask:
-                taus[lam] = t
-        for lo, hi in zip(rates, rates[1:]):
-            if masks[lo] & ~masks[hi]:
-                raise RuntimeError("rate coupling containment violated: engine bug")
-    return taus
+    n = g.vertex_count
+    init = _mask_of(range(n) if initial is None else initial, n)
+    _, taus, _ = _sweep(record, [init] * len(rates), [lam / lam_max for lam in rates], horizon)
+    return dict(zip(rates, taus))
 
 
 # ---------------------------------------------------------------------------
 # clique reduction and caterpillar instrumentation
 # ---------------------------------------------------------------------------
-
-
-def sizes_to_csv_text(run: EngineRun) -> str:
-    """Bounded trajectory export: one (time, infected count) row per event."""
-    lines = ["time,size"]
-    lines.extend(f"{t!r},{s}" for t, s in run.sizes)
-    return "\n".join(lines) + "\n"
 
 
 def birth_death_clique_simulate(m: int, lam: float, initial_count: int, seed: int,
@@ -644,7 +537,9 @@ def birth_death_clique_simulate(m: int, lam: float, initial_count: int, seed: in
 def lit_snapshots(cat: CaterpillarGraph, cfg: ContactConfig, cadence: float | None = None,
                   initial: Iterable[int] | None = None) -> list[LitSnapshot]:
     """Record, at times 0, T, 2T, ..., which spine vertices are lit, i.e.
-    whose clique holds at least clique_size/4 infected vertices.
+    whose clique holds at least clique_size/4 infected vertices.  Snapshots
+    stop at extinction or at cfg.t_cap, and the run is the replica
+    `simulate_extinction(cat.graph, cfg, initial)`.
 
     The default cadence is exp(M*log(lam*M)/16), the persistence scale of
     one clique; it needs lam*M > 1, otherwise pass a cadence explicitly.
@@ -656,11 +551,13 @@ def lit_snapshots(cat: CaterpillarGraph, cfg: ContactConfig, cadence: float | No
         if cfg.lam * m <= 1.0:
             raise ValueError("default cadence undefined for lam*M <= 1; pass one")
         cadence = math.exp(m * math.log(cfg.lam * m) / 16.0)
-    engine = ContactEngine(cat.graph, cfg.lam, cfg.seed)
-    run = engine.run(initial=initial, t_cap=cfg.t_cap, snapshot_interval=cadence)
+    if not cadence > 0:
+        raise ValueError("cadence must be positive")
+    snapshots: list[tuple[float, frozenset[int]]] = []
+    _replica(cat.graph, cfg, initial, snapshots, cadence)
     threshold = m / 4.0
     return [
         LitSnapshot(t, tuple(len(infected.intersection(block)) >= threshold
                              for block in cat.cliques))
-        for t, infected in run.snapshots
+        for t, infected in snapshots
     ]

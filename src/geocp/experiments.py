@@ -308,8 +308,18 @@ def _opt(cfg: ExperimentConfig, key: str, cast, default):
         raise ConfigError(f"[options] {key}: cannot parse {raw!r} ({exc})") from None
 
 
+def _contact_lam(cfg: ExperimentConfig, default: float) -> float:
+    """[contact] lam, or `default` when it is not given."""
+    lam = cfg.contact.get("lam")
+    if lam is None:
+        return default
+    if not 0 < lam < math.inf:
+        raise ConfigError(f"[contact] lam: must be positive and finite, got {lam!r}")
+    return lam
+
+
 def _run_clique_scaling(cfg: ExperimentConfig, workers: int) -> ResultTable:
-    lam = cfg.contact.get("lam", 1.0) or 1.0
+    lam = _contact_lam(cfg, 1.0)
     sizes = _opt(cfg, "sizes", _int_list, list(range(50, 501, 50)))
     rows = []
     xs, ys = [], []
@@ -383,7 +393,7 @@ def battery_graphs(seed: int, count: int, lam_max: float, mean_cap: float) -> li
 def _run_exp1(cfg: ExperimentConfig, workers: int) -> ResultTable:
     m = _opt(cfg, "m", int, 30)
     count = _opt(cfg, "count", int, 300)
-    lam = cfg.contact.get("lam", 0.5) or 0.5
+    lam = _contact_lam(cfg, 0.5)
     taus = exact.sample_clique_extinction_times(m, lam, count, derive_seed(cfg.seed, 0))
     mean = float(taus.mean())
     normalized = taus / mean
@@ -462,7 +472,7 @@ def _run_rgg_tau(cfg: ExperimentConfig, workers: int) -> ResultTable:
     geo = cfg.geometry
     if not geo or geo.get("n") is None or geo.get("r") is None:
         raise ConfigError("[geometry] n and r are required for rgg-tau")
-    lam = cfg.contact.get("lam", 1.0) or 1.0
+    lam = _contact_lam(cfg, 1.0)
     t_cap = cfg.contact.get("t_cap")
     replicas = cfg.contact.get("replicas", 100)
     cells = [(geo, lam, t_cap, cfg.seed, i) for i in range(replicas)]

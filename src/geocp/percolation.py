@@ -750,42 +750,25 @@ def op_first_passage(ell: int, q: float, seed: int) -> FirstPassage:
 
 
 def op_exact_survival(ell: int, q: float, t: int, initial: Iterable[int]) -> float:
-    """Exact P(eta_t != empty) by transfer over subsets of [0, ell].
+    """Exact P(eta_t != empty): the start distribution over occupancy
+    subsets of the even sites, carried through the class transfer matrices
+    (even -> odd, then odd -> even, alternately).
 
-    Budget: ell <= 4 and t <= 8 (state space 2^(ell+1)).
+    Budget: ell <= 4 and t <= 8.
     """
     if ell > 4 or t > 8:
         raise BudgetExceededError("exact survival budget is ell <= 4, t <= 8")
     if not (0.0 <= q <= 1.0):
         raise ValueError("q must lie in [0, 1]")
     init = _check_initial(ell, initial)
-    dist: dict[frozenset, float] = {init: 1.0}
-    for _ in range(t):
-        new: dict[frozenset, float] = {}
-        for state, prob in dist.items():
-            if not state:
-                new[state] = new.get(state, 0.0) + prob
-                continue
-            targets = sorted({j for i in state for j in (i - 1, i + 1) if 0 <= j <= ell})
-            p_occ = []
-            for j in targets:
-                parents = sum(1 for i in state if abs(i - j) == 1)
-                p_occ.append(1.0 - (1.0 - q) ** parents)
-            for mask in range(1 << len(targets)):
-                pr = prob
-                occ = []
-                for b, j in enumerate(targets):
-                    if mask >> b & 1:
-                        pr *= p_occ[b]
-                        occ.append(j)
-                    else:
-                        pr *= 1.0 - p_occ[b]
-                if pr == 0.0:
-                    continue
-                key = frozenset(occ)
-                new[key] = new.get(key, 0.0) + pr
-        dist = new
-    return 1.0 - dist.get(frozenset(), 0.0)
+    evens = list(range(0, ell + 1, 2))
+    odds = list(range(1, ell + 1, 2))
+    steps = (_class_transition(evens, odds, q), _class_transition(odds, evens, q))
+    dist = np.zeros(1 << len(evens))
+    dist[sum(1 << b for b, i in enumerate(evens) if i in init)] = 1.0
+    for step in range(t):
+        dist = dist @ steps[step % 2]
+    return 1.0 - float(dist[0])
 
 
 def _simulate_batch(ell: int, q: float, steps: int, replicas: int, seed: int,

@@ -53,11 +53,6 @@ def derive_seed(master: int, index: int) -> int:
     return mix64(master, TAG_REPLICA, index)
 
 
-def kernel_seed(master: int, index: int) -> int:
-    """31-bit sub-seed for RNGs that only accept small seeds."""
-    return derive_seed(master, index) & 0x7FFFFFFF
-
-
 class CounterStream:
     """One logical noise stream addressed by a running counter.
 

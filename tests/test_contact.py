@@ -1,16 +1,17 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from geocp import rgg
-from geocp.contact import (ContactConfig, ContactEngine, TauSample, _block_sums,
-                           _extinction_kernel, _healthy_flags, _pick_target, _start_state,
+from geocp.contact import (ContactConfig, TauSample, _block_sums, _extinction_kernel,
+                           _healthy_flags, _mask_of, _pick_target, _start_state, _sweep,
                            birth_death_clique_simulate, dual_from_record,
                            forward_from_record, lit_snapshots, record_event_window,
                            sample_extinction_times, simulate_coupled, simulate_dual,
-                           simulate_extinction, simulate_rate_coupled,
-                           sizes_to_csv_text)
+                           simulate_extinction, simulate_rate_coupled)
 from geocp.exact import exact_clique_extinction, exact_expected_extinction_ctmc
 from geocp.experiments import battery_graphs
 from geocp.graphs import (CaterpillarSpec, Graph, build_caterpillar, build_complete,
@@ -18,10 +19,30 @@ from geocp.graphs import (CaterpillarSpec, Graph, build_caterpillar, build_compl
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ContactConfig(0.0)
-    with pytest.raises(ValueError):
-        ContactConfig(1.0, t_cap=-1.0)
+    # ContactConfig and sample_extinction_times apply the same rule
+    g = build_complete(3)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="infection rate"):
+            ContactConfig(bad)
+        with pytest.raises(ValueError, match="infection rate"):
+            sample_extinction_times(g, bad, None, 1, 3)
+        with pytest.raises(ValueError, match="infection rates"):
+            simulate_rate_coupled(g, [0.5, bad], 1, 1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="t_cap"):
+            ContactConfig(1.0, t_cap=bad)
+        with pytest.raises(ValueError, match="t_cap"):
+            sample_extinction_times(g, 1.0, bad, 1, 3)
+    assert ContactConfig(1.0, t_cap=0.0).t_cap == 0.0
+
+
+def test_simulate_extinction_keeps_no_graph_alive():
+    g = build_complete(40)
+    ref = weakref.ref(g)
+    simulate_extinction(g, ContactConfig(0.5, t_cap=1.0, seed=3))
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_single_vertex_exponential():
@@ -63,29 +84,13 @@ def test_censoring_contract():
 
 
 def test_kernel_engine_oracle_triangle():
-    # kernel and reference engine both agree with the CTMC oracle
+    # the kernel agrees with the CTMC oracle
     g = random_connected_graph(5, 2, 77)
     lam = 0.8
     exact = exact_expected_extinction_ctmc(g, lam)
     taus, _ = sample_extinction_times(g, lam, None, 5, 30000)
     se = taus.std(ddof=1) / math.sqrt(len(taus))
     assert abs(taus.mean() - exact) <= 3 * se
-    engine = ContactEngine(g, lam, 11)
-    etaus = np.array([engine.run().tau for _ in range(4000)])
-    ese = etaus.std(ddof=1) / math.sqrt(len(etaus))
-    assert abs(etaus.mean() - exact) <= 3 * ese
-
-
-def test_engine_audit_and_state():
-    g = build_complete(6)
-    engine = ContactEngine(g, 0.5, 3)
-    run = engine.run(t_cap=5.0, size_log_limit=50)
-    engine.audit()
-    st = engine.state()
-    assert st.infected <= set(range(6))
-    text = sizes_to_csv_text(run)
-    assert text.startswith("time,size\n")
-    assert len(text.splitlines()) == len(run.sizes) + 1
 
 
 def test_rate_monotonicity_pathwise():
@@ -112,6 +117,48 @@ def test_coupled_containment_battery():
         simulate_coupled(g, ContactConfig(0.5, t_cap=2.0, seed=seed), [0, 1], [0, 1, 2, 3])
 
 
+def test_graphical_outputs_golden():
+    """Exact outputs recorded from the separate forward, coupled and
+    rate-coupled loops that the shared sweep replaced."""
+    g = random_connected_graph(6, 2, 11)
+    rec = record_event_window(g, 0.8, 3, 2.0)
+    assert len(rec.events) == 33
+    forward = [(range(6), 2.0, None, []), (range(6), 1.0, 0.4, [0, 3]),
+               ([1, 5], 0.5, 0.8, [0, 2, 5]), ([2, 3], 1.5, 0.2, [])]
+    for initial, t_end, lam_eff, final in forward:
+        assert sorted(forward_from_record(rec, initial, t_end, lam_eff)) == final
+    k5 = build_complete(5)
+    coupled = [
+        (([0, 1], [0, 1, 2, 3], 0.3, 3.0, 4),
+         "CoupledRun(tau_low=1.5039631844235068, tau_high=1.5039631844235068, "
+         "final_low=frozenset(), final_high=frozenset(), events=17)"),
+        (([], [0, 1], 0.3, 4.0, 7),
+         "CoupledRun(tau_low=0.0, tau_high=0.8095034263138378, "
+         "final_low=frozenset(), final_high=frozenset(), events=10)"),
+        (([0, 2], [1, 3], 0.3, 4.0, 2),
+         "CoupledRun(tau_low=None, tau_high=None, "
+         "final_low=frozenset({2}), final_high=frozenset({2}), events=48)"),
+    ]
+    for (low, high, lam, cap, seed), want in coupled:
+        assert repr(simulate_coupled(k5, ContactConfig(lam, t_cap=cap, seed=seed), low, high)) == want
+    cat = build_caterpillar(CaterpillarSpec(2, 4)).graph
+    assert repr(simulate_rate_coupled(cat, [0.1, 0.3, 0.6, 1.2], 1, 5.0)) == \
+        "{0.1: 3.9133480249304275, 0.3: None, 0.6: None, 1.2: None}"
+    assert repr(simulate_rate_coupled(cat, [0.6, 0.2, 0.6], 3, 5.0, [0])) == \
+        "{0.2: 2.0281475028191034, 0.6: None}"
+
+
+def test_sweep_catches_broken_containment():
+    # nested masks, but the inner one takes more infections than the outer
+    g = build_complete(5)
+    rec = record_event_window(g, 1.0, 8, 5.0)
+    low, high = _mask_of([0], 5), _mask_of([0, 1], 5)
+    finals, taus, events = _sweep(rec, [low, high], [1.0, 1.0], 5.0)
+    assert finals[0] & ~finals[1] == 0 and events > 0
+    with pytest.raises(RuntimeError, match="containment"):
+        _sweep(rec, [low, high], [1.0, 0.05], 5.0)
+
+
 def test_dual_degenerate_windows():
     g = build_complete(4)
     run = simulate_dual(g, ContactConfig(1.0, seed=3), target=2, window=0.0)
@@ -131,6 +178,10 @@ def test_dual_window_rejection():
         dual_from_record(rec, [0], 2.0)
     with pytest.raises(ValueError):
         forward_from_record(rec, [0], 2.0)
+    with pytest.raises(ValueError, match="out of range"):
+        forward_from_record(rec, [3], 1.0)
+    with pytest.raises(ValueError, match="out of range"):
+        dual_from_record(rec, [3], 1.0)
 
 
 def test_pathwise_duality_identity():
@@ -189,13 +240,37 @@ def test_lit_snapshots_contract():
 
 
 def test_lit_snapshots_stop_at_extinction():
+    # a lit_snapshots run is the simulate_extinction replica with the same cfg
     cat = build_caterpillar(CaterpillarSpec(2, 4))
-    cfg = ContactConfig(0.1, t_cap=500.0, seed=12)
-    snaps = lit_snapshots(cat, cfg, cadence=0.5)
-    engine = ContactEngine(cat.graph, 0.1, 12)
-    run = engine.run(t_cap=500.0, snapshot_interval=0.5)
-    assert not run.censored
-    assert all(t <= run.tau for t, _ in [(s.time, s.lit) for s in snaps])
+    cadence = 0.5
+    for cfg, censored in ((ContactConfig(0.1, t_cap=500.0, seed=12), False),
+                          (ContactConfig(1.0, t_cap=7.2, seed=4), True)):
+        snaps = lit_snapshots(cat, cfg, cadence=cadence)
+        run = simulate_extinction(cat.graph, cfg)
+        assert run.censored == censored
+        assert len(snaps) == math.floor(min(run.tau, cfg.t_cap) / cadence) + 1
+        assert [s.time for s in snaps] == [j * cadence for j in range(len(snaps))]
+    with pytest.raises(ValueError, match="cadence"):
+        lit_snapshots(cat, ContactConfig(1.0, seed=0), cadence=0.0)
+
+
+def test_kernel_snapshots_draw_nothing():
+    cells = [(build_complete(5), 1.0), (build_caterpillar(CaterpillarSpec(2, 4)).graph, 0.3),
+             (_small_rgg(), 0.05)]
+    rs = np.random.RandomState()
+    for g, lam in cells:
+        start = _start_state(g.adjacency, _healthy_flags(g.vertex_count, None))
+        for cap in (-1.0, 4.0):
+            for seed in range(5):
+                plain = _extinction_kernel(g.adjacency, start, lam, cap, rs, seed)
+                snapshots = []
+                recorded = _extinction_kernel(g.adjacency, start, lam, cap, rs, seed,
+                                              snapshots=snapshots, cadence=0.7)
+                assert recorded == plain
+                tau = plain[0]
+                assert len(snapshots) == math.floor(tau / 0.7) + 1
+                assert snapshots[0] == (0.0, frozenset(range(g.vertex_count)))
+                assert all(s <= set(range(g.vertex_count)) for _, s in snapshots)
 
 
 def test_lit_fraction_predicts_survival():

@@ -69,6 +69,20 @@ def test_clique_scaling_table(tmp_path):
     assert summary["slope"] == table.summary["slope"]
 
 
+def test_runners_reject_bad_lam():
+    for kind, options in (("clique-scaling", {"sizes": "50 100 150"}), ("exp1-test", {"count": "5"}),
+                          ("rgg-tau", {})):
+        geometry = {"n": 20.0, "r": 1.5, "d": 2, "b": 1.0, "B": 1.0}
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            cfg = ExperimentConfig(kind, 1, geometry=geometry,
+                                   contact={"lam": bad, "replicas": 1}, options=options)
+            with pytest.raises(ConfigError, match=r"\[contact\] lam"):
+                run_experiment(cfg)
+    # an absent lam still means the runner's default
+    cfg = ExperimentConfig("clique-scaling", 42, contact={"lam": None}, options={"sizes": "50 100 150"})
+    assert run_experiment(cfg).summary["lam"] == 1.0
+
+
 def test_exp1_table_and_plot():
     cfg = ExperimentConfig("exp1-test", 3, contact={"lam": 0.5},
                            options={"m": "30", "count": "120"})

@@ -76,8 +76,8 @@ def test_first_passage():
     assert fp.censored and fp.sigma is None
 
 
-def _first_passage_enumeration(ell, q, horizon):
-    """Brute force over every arrow configuration within the horizon."""
+def _arrow_fields(ell, q, horizon):
+    """Every arrow configuration within the horizon, with its probability."""
     arrows = []
     for t in range(horizon):
         for i in range(ell + 1):
@@ -85,12 +85,30 @@ def _first_passage_enumeration(ell, q, horizon):
                 for direction, j in ((0, i - 1), (1, i + 1)):
                     if 0 <= j <= ell:
                         arrows.append((i, t, direction))
-    total = 0.0
     for bits in product((False, True), repeat=len(arrows)):
-        present = dict(zip(arrows, bits))
         prob = 1.0
-        for (_, _, _), b in zip(arrows, bits):
+        for b in bits:
             prob *= q if b else 1 - q
+        yield dict(zip(arrows, bits)), prob
+
+
+def _survival_enumeration(ell, q, t, initial):
+    """Brute-force P(eta_t != empty) over every arrow configuration."""
+    total = 0.0
+    for present, prob in _arrow_fields(ell, q, t):
+        cur = set(initial)
+        for s in range(t):
+            cur = {j for i in cur for direction, j in ((0, i - 1), (1, i + 1))
+                   if 0 <= j <= ell and present.get((i, s, direction))}
+        if cur:
+            total += prob
+    return total
+
+
+def _first_passage_enumeration(ell, q, horizon):
+    """Brute force over every arrow configuration within the horizon."""
+    total = 0.0
+    for present, prob in _arrow_fields(ell, q, horizon):
         cur = {0}
         hit = ell in cur
         for t in range(horizon):
@@ -116,6 +134,17 @@ def test_first_passage_matches_enumeration():
     p_hat = hits / n
     se = math.sqrt(max(exact * (1 - exact), 1 / n) / n)
     assert abs(p_hat - exact) <= 3 * se
+
+
+def test_exact_survival_matches_enumeration():
+    for ell in range(3):
+        evens = range(0, ell + 1, 2)
+        starts = [{i for i in evens if mask >> (i // 2) & 1} for mask in range(1 << len(evens))]
+        for q in (0.0, 0.3, 0.75, 1.0):
+            for t in range(4):
+                for init in starts:
+                    assert op_exact_survival(ell, q, t, init) == pytest.approx(
+                        _survival_enumeration(ell, q, t, init), abs=1e-12), (ell, q, t, init)
 
 
 def test_simulated_survival_matches_exact():
