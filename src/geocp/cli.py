@@ -160,7 +160,8 @@ def _add_experiment(sub):
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--log-level", default="info")
+    # no default here, so `geocp --log-level ... experiment` keeps the top-level value
+    p.add_argument("--log-level", default=argparse.SUPPRESS)
 
 
 def _cmd_experiment(args) -> int:
@@ -233,7 +234,7 @@ def main(argv=None) -> int:
     _add_experiment(sub)
     _add_plot_data(sub)
     args = parser.parse_args(argv)
-    level = getattr(args, "log_level", "warning")
+    level = args.log_level
     logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     handlers = {

@@ -7,6 +7,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from .rng import mix64
 
 
@@ -30,18 +32,41 @@ class Graph:
         object.__setattr__(self, "edge_count", degree_sum // 2)
 
     @classmethod
-    def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    def from_edges(cls, vertex_count: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "Graph":
+        """Graph on `vertex_count` vertices from an (m, 2) integer array or
+        any iterable of integer pairs.
+
+        Duplicates and reversed pairs collapse into one edge.  The first
+        out-of-range or self-loop pair raises ValueError, as does a
+        non-integer array, which is never cast.
+        """
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
-        for a, b in edges:
-            if not (0 <= a < vertex_count and 0 <= b < vertex_count):
-                raise ValueError(f"edge ({a},{b}) out of range for {vertex_count} vertices")
-            if a == b:
-                raise ValueError(f"self-loop at vertex {a}")
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        return cls(tuple(tuple(sorted(s)) for s in nbrs))
+        n = vertex_count
+        arr = edges if isinstance(edges, np.ndarray) else np.array(list(edges))
+        if arr.size == 0:
+            arr = np.empty((0, 2), dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError("edges must be (a, b) pairs")
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"edges must be integer vertex ids, not {arr.dtype}")
+        a, b = arr[:, 0], arr[:, 1]
+        outside = (a < 0) | (a >= n) | (b < 0) | (b >= n)
+        bad = outside | (a == b)
+        if bad.any():
+            k = int(bad.argmax())
+            ak, bk = int(a[k]), int(b[k])
+            if outside[k]:
+                raise ValueError(f"edge ({ak},{bk}) out of range for {n} vertices")
+            raise ValueError(f"self-loop at vertex {ak}")
+        a, b = a.astype(np.int64), b.astype(np.int64)
+        # both directions keyed src*n + dst: one sort orders them, and
+        # duplicates, now adjacent, drop out
+        key = np.sort(np.concatenate([a * n + b, b * n + a]))
+        key = key[np.diff(key, prepend=-1) != 0]
+        flat = (key % n).tolist()
+        ends = np.cumsum(np.bincount(key // n, minlength=n)).tolist()
+        return cls(tuple(tuple(flat[s:e]) for s, e in zip([0] + ends[:-1], ends)))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]

@@ -32,8 +32,8 @@ class GeometryConfig:
     upper: float = 1.0
 
     def __post_init__(self):
-        if self.n <= 0 or self.radius <= 0 or self.dim < 1:
-            raise ValueError("need n > 0, radius > 0, dim >= 1")
+        if not (0 < self.n < math.inf and self.radius > 0 and self.dim >= 1):
+            raise ValueError("need finite n > 0, radius > 0, dim >= 1")
         if not (0.0 < self.lower <= self.upper):
             raise ValueError("intensity bounds need 0 < lower <= upper")
 
@@ -53,6 +53,8 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be a (count, dim) array")
+        if not np.isfinite(pts).all():
+            raise ValueError("coordinates must be finite")
         if pts.size and (pts.min() < 0.0 or pts.max() > self.box_side):
             raise ValueError("coordinates leave the declared domain box")
         object.__setattr__(self, "points", pts)
@@ -130,49 +132,84 @@ def _pair_edges(a_pts: np.ndarray, b_pts: np.ndarray, r2: float) -> np.ndarray:
     return d2 <= r2
 
 
+# padded cell keys and their neighbours' keys stay below 2^62
+_KEY_BITS = 62
+
+
+def _cell_keys(pts: np.ndarray, radius: float) -> tuple[np.ndarray, list[int]]:
+    """Linear keys of each point's cell in a grid of side >= radius, padded
+    by one cell on every side, and the key steps to the (3^d - 1)/2
+    half-neighbour cells.
+
+    The side is `radius` unless the padded grid would need more than
+    2^62 cells; then it widens, which still puts every pair within
+    `radius` in the same or in adjacent cells.
+    """
+    d = pts.shape[1]
+    # padded cells per axis; at most 2^31, so rounding in pts / side cannot
+    # push a cell past the grid
+    width = min(2**31, int(2.0 ** (_KEY_BITS / d)))
+    if width < 4:
+        raise ValueError(f"the cell search supports dim <= {_KEY_BITS // 2}, not {d}")
+    side = max(radius, float(pts.max()) / (width - 3))
+    place = [width**k for k in range(d)]
+    key = (np.floor(pts / side).astype(np.int64) + 1) @ np.asarray(place, dtype=np.int64)
+    zero = (0,) * d
+    steps = [sum(o * p for o, p in zip(off, place))
+             for off in product((-1, 0, 1), repeat=d) if off > zero]
+    return key, steps
+
+
+def _range_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with lo[i] <= j < hi[i], ascending."""
+    counts = hi - lo
+    rows = np.repeat(np.arange(len(lo)), counts)
+    cols = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return rows, cols
+
+
+def _candidate_pairs(key: np.ndarray, steps: list[int]):
+    """Candidate pairs (i, j) of positions in the ascending `key` array,
+    one batch per cell offset: each point with the later points of its own
+    cell, then with every point of the cell `step` keys away."""
+    yield _range_pairs(np.arange(1, len(key) + 1), np.searchsorted(key, key, side="right"))
+    for step in steps:
+        yield _range_pairs(np.searchsorted(key, key + step, side="left"),
+                           np.searchsorted(key, key + step, side="right"))
+
+
 def build_rgg(cloud: PointCloud, radius: float) -> Graph:
     """Geometric graph: edge iff Euclidean distance <= radius (inclusive).
 
-    Uses a bucket grid with cell side `radius`, scanning the 3^dim
-    neighborhood, and matches the quadratic reference construction exactly.
+    Sorted-cell search: every point is keyed by its cell of side `radius`
+    and the points are sorted by key, so each cell is one run of the
+    sorted order.  `searchsorted` gives each point's candidates: the later
+    points of its own cell and the points of its (3^dim - 1)/2
+    half-neighbour cells.  A candidate pair is an edge when its squared
+    distance, summed as in `build_rgg_bruteforce`, is <= radius^2, so the
+    result equals that quadratic reference construction exactly.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
-    pts = cloud.points
     n = len(cloud)
     if n == 0:
         return Graph.from_edges(0, [])
+    key, steps = _cell_keys(cloud.points, radius)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    pts = cloud.points[order]
     r2 = radius * radius
-    cell_of = np.floor(pts / radius).astype(np.int64)
-    cells: dict[tuple, list[int]] = {}
-    for i, c in enumerate(map(tuple, cell_of)):
-        cells.setdefault(c, []).append(i)
-    zero = (0,) * cloud.dim
-    half_offsets = [off for off in product((-1, 0, 1), repeat=cloud.dim) if off > zero]
-    edges: list[tuple[int, int]] = []
-    for c, ids in cells.items():
-        a_ids = np.asarray(ids)
-        a = pts[a_ids]
-        if len(ids) > 1:
-            hit = _pair_edges(a, a, r2)
-            ii, jj = np.nonzero(np.triu(hit, k=1))
-            edges.extend(zip(a_ids[ii].tolist(), a_ids[jj].tolist()))
-        for off in half_offsets:
-            c2 = tuple(int(x + o) for x, o in zip(c, off))
-            other = cells.get(c2)
-            if not other:
-                continue
-            b_ids = np.asarray(other)
-            hit = _pair_edges(a, pts[b_ids], r2)
-            ii, jj = np.nonzero(hit)
-            edges.extend(zip(a_ids[ii].tolist(), b_ids[jj].tolist()))
-    edges = [(min(a, b), max(a, b)) for a, b in edges]
-    return Graph.from_edges(n, edges)
+    src, dst = [], []
+    for i, j in _candidate_pairs(key, steps):
+        near = ((pts[i] - pts[j]) ** 2).sum(axis=1) <= r2
+        src.append(order[i[near]])
+        dst.append(order[j[near]])
+    return Graph.from_edges(n, np.column_stack([np.concatenate(src), np.concatenate(dst)]))
 
 
 def build_rgg_bruteforce(cloud: PointCloud, radius: float) -> Graph:
     """Quadratic reference construction; kept as the independent check for
-    the bucket-grid builder."""
+    the sorted-cell builder."""
     pts = cloud.points
     n = len(cloud)
     r2 = radius * radius

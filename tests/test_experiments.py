@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -213,3 +214,16 @@ def test_parallel_failure_names_the_replica():
 
     with pytest.raises(ReplicaError, match=r"args=\(1, 99\)"):
         _parallel(boom, [(1, 99)], workers=1)
+
+
+def test_cli_log_level_before_and_after_subcommand(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(MINIMAL_CFG)
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    run = ["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
+    assert cli_main(["--log-level", "debug"] + run) == 0
+    assert cli_main(run + ["--log-level", "error"]) == 0
+    assert cli_main(["--log-level", "debug"] + run + ["--log-level", "error"]) == 0
+    assert cli_main(run) == 0
+    assert levels == [logging.DEBUG, logging.ERROR, logging.ERROR, logging.WARNING]

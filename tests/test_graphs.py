@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from geocp.graphs import (CaterpillarSpec, Graph, build_caterpillar, build_complete,
@@ -100,3 +101,43 @@ def test_random_connected_graph_properties():
         g.validate()
         assert len(connected_components(g)) == 1
         assert g.edge_count >= n - 1
+
+
+def test_from_edges_input_forms():
+    pairs = [(0, 1), (2, 1), (3, 0), (1, 3)]
+    ref = Graph.from_edges(4, pairs)
+    assert ref.adjacency == ((1, 3), (0, 2, 3), (1,), (0, 1))
+    for dtype in (np.int64, np.int32, np.uint16):
+        assert Graph.from_edges(4, np.array(pairs, dtype=dtype)) == ref
+    assert Graph.from_edges(4, ((a, b) for a, b in pairs)) == ref
+    assert Graph.from_edges(4, iter([[0, 1], [1, 2], [3, 0], [1, 3], [2, 1]])) == ref
+    assert all(type(v) is int for nbrs in Graph.from_edges(4, np.array(pairs)).adjacency
+               for v in nbrs)
+    # duplicates and reversed pairs collapse
+    assert Graph.from_edges(4, pairs + [(1, 0), (1, 2), (0, 3)] * 3) == ref
+    assert Graph.from_edges(3, np.empty((0, 2), dtype=np.int64)).adjacency == ((), (), ())
+    assert Graph.from_edges(0, np.empty((0, 2), dtype=np.int64)).vertex_count == 0
+    assert Graph.from_edges(0, []).adjacency == ()
+    assert Graph.from_edges(1, []).adjacency == ((),)
+
+
+def test_from_edges_rejects_bad_edges():
+    cases = [([(0, 1), (-1, 2)], "edge \\(-1,2\\) out of range for 3 vertices"),
+             ([(0, 3)], "edge \\(0,3\\) out of range for 3 vertices"),
+             ([(0, 1), (2, 2), (0, 7)], "self-loop at vertex 2"),
+             ([(0, 7), (2, 2)], "edge \\(0,7\\) out of range"),
+             ([(5, 5)], "edge \\(5,5\\) out of range")]
+    for edges, message in cases:
+        for form in (edges, np.array(edges), iter(edges)):
+            with pytest.raises(ValueError, match=message):
+                Graph.from_edges(3, form)
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edges(0, [(0, 1)])
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph.from_edges(-1, [])
+    # non-integer ids are rejected, never cast
+    for edges in (np.array([[0.0, 1.0]]), [(0.0, 1.0)], [(0, 1.5)], np.array([[True, False]])):
+        with pytest.raises(ValueError, match="integer"):
+            Graph.from_edges(3, edges)
+    with pytest.raises(ValueError, match="pairs"):
+        Graph.from_edges(3, np.array([[0, 1, 2]]))

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from geocp.rgg import (GeometryConfig, PointCloud, build_rgg, build_rgg_bruteforce,
+from geocp.rgg import (GeometryConfig, PointCloud, _cell_keys, build_rgg, build_rgg_bruteforce,
                        discretize_boxes, embedding_is_valid, find_caterpillar_embedding,
                        from_point_text, sample_binomial_points, sample_poisson_points,
                        to_point_text)
@@ -202,3 +203,69 @@ def test_discretize_interior_box_mean():
     expected = side**2
     se = math.sqrt(expected / (20 * 64))
     assert abs(np.mean(acc) - expected) <= 3 * se
+
+
+def test_rgg_fingerprint_golden():
+    """Edge-list digests recorded on the per-cell builder this one replaced."""
+    cases = [((2000.0, 3.0, 2), 17, 2016, 27107, "faaaa3d66fab"),
+             ((10_000.0, 6.0, 2), 18, 10015, 540458, "38ab8140657c"),
+             ((2000.0, 2.0, 3), 19, 2011, 27839, "8015ce116bd5")]
+    for (n, radius, d), seed, count, edges, digest in cases:
+        cloud = sample_poisson_points(GeometryConfig(n, radius, d), seed)
+        g = build_rgg(cloud, radius)
+        assert (len(cloud), g.edge_count, g.fingerprint()) == (count, edges, digest)
+
+
+def test_rgg_wide_grid_matches_bruteforce():
+    # side 5 at R = 0.01 in dim 8 would need ~502^8 > 2^63 padded cells of
+    # side R, and side 5 at R = 1e-19 in dim 1 more than 2^63 cells on one
+    # axis; the builder widens its cells instead of overflowing the key
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        key, steps = _cell_keys(np.array([[0.0], [5.0]]), 1e-19)
+        tiny = build_rgg(PointCloud(np.array([[0.0], [5.0], [5.0]]), 5.0), 1e-19)
+    assert 0 <= key.min() and key.max() + max(steps) < 2**62
+    assert tiny.edges() == [(1, 2)]
+    rng = np.random.default_rng(5)
+    pts = rng.random((150, 8)) * 5.0
+    pts[1] = pts[0]
+    pts[2] = pts[0]
+    pts[2, 3] += 0.0075  # within R of point 0
+    pts[3] = pts[0]
+    pts[3, 5] += 0.0125  # beyond R
+    cloud = PointCloud(pts, 5.0)
+    key, steps = _cell_keys(pts, 0.01)
+    assert 0 <= key.min() and key.max() + max(steps) < 2**62
+    g = build_rgg(cloud, 0.01)
+    assert g.adjacency == build_rgg_bruteforce(cloud, 0.01).adjacency
+    assert {(0, 1), (0, 2), (1, 2)} <= set(g.edges()) and g.degree(3) == 0
+    wide = build_rgg(cloud, 1.0)
+    assert wide.adjacency == build_rgg_bruteforce(cloud, 1.0).adjacency
+    # from dim 32 no padded grid of 3+ cells per axis fits in 2^62 keys
+    with pytest.raises(ValueError, match="dim <= 31"):
+        build_rgg(PointCloud(np.zeros((2, 32)), 1.0), 1.0)
+
+
+def test_rgg_radius_validation():
+    cloud = PointCloud(np.array([[0.5, 0.5], [0.2, 0.3], [0.9, 0.1]]), 1.0)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            build_rgg(cloud, bad)
+    complete = build_rgg(cloud, math.inf)
+    assert complete.edges() == [(0, 1), (0, 2), (1, 2)]
+    assert complete.adjacency == build_rgg_bruteforce(cloud, math.inf).adjacency
+    assert build_rgg(PointCloud(np.empty((0, 3)), 1.0), math.inf).vertex_count == 0
+
+
+def test_point_cloud_rejects_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PointCloud(np.array([[0.5, bad], [0.2, 0.3]]), 1.0)
+
+
+def test_geometry_config_rejects_non_finite():
+    for n, radius in ((math.nan, 1.0), (math.inf, 1.0), (100.0, math.nan), (0.0, 1.0),
+                      (100.0, 0.0)):
+        with pytest.raises(ValueError):
+            GeometryConfig(n, radius, 2)
+    assert GeometryConfig(100.0, math.inf, 2).radius == math.inf
