@@ -906,37 +906,34 @@ class OPExtinctionProfile:
     median_steps: float
 
 
-def _solve_longdouble(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting in extended precision.
+def _gth_last_mean(M: np.ndarray, exits: np.ndarray, reward: np.ndarray) -> float:
+    """Expected reward collected before absorption from the last state of
+    the substochastic chain M, whose rows leak `exits` to the absorbing state.
 
-    Needed because near-critical extinction rates sit below the double
-    roundoff of I - M; 80-bit arithmetic buys ~3 more decades.
+    Grassmann-Taksar-Heyman state reduction: states are censored one at a
+    time, and each pivot 1 - M_kk is formed as the remaining off-diagonal
+    mass plus the exit, so every step adds or multiplies nonnegative numbers
+    and the answer stays accurate however close to 1 the escape rate is.
     """
-    A = A.astype(np.longdouble).copy()
-    x = b.astype(np.longdouble).copy()
-    n = A.shape[0]
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(A[col:, col])))
-        if A[piv, col] == 0:
-            raise ArithmeticError("singular transfer system")
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-            x[[col, piv]] = x[[piv, col]]
-        factors = A[col + 1:, col] / A[col, col]
-        A[col + 1:, col:] -= np.outer(factors, A[col, col:])
-        x[col + 1:] -= factors * x[col]
-    out = np.empty(n, dtype=np.longdouble)
-    for i in range(n - 1, -1, -1):
-        out[i] = (x[i] - A[i, i + 1:] @ out[i + 1:]) / A[i, i]
-    return out
+    P = M.copy()
+    np.fill_diagonal(P, 0.0)
+    exits = exits.copy()
+    reward = reward.copy()
+    for k in range(len(P) - 1):
+        f = P[k + 1:, k] / (P[k, k + 1:].sum() + exits[k])
+        P[k + 1:, k + 1:] += np.outer(f, P[k, k + 1:])
+        exits[k + 1:] += f * exits[k]
+        reward[k + 1:] += f * reward[k]
+    return float(reward[-1] / exits[-1])
 
 
 def op_extinction_profile_exact(ell: int, q: float, budget_sites: int = 10) -> OPExtinctionProfile:
     """Exact mean and median extinction step from the full even start.
 
-    Works on the two-class transfer matrix (even-step states x odd-step
-    states) in extended precision, so it stays meaningful when extinction
-    takes 1e15+ steps.  The median comes from the spectral form of the
+    Works on the two-step transfer matrix of the even-step states; the mean
+    comes from GTH state reduction in doubles (`_gth_last_mean`), which
+    subtracts nothing and so stays exact to rounding when extinction takes
+    1e16+ steps.  The median comes from the spectral form of the
     survival function where doubles can resolve it, and otherwise from the
     asymptotically exact single-slow-mode value mean*log(2).
     Budget: at most `budget_sites` even sites (matrix side 2^sites).
@@ -951,20 +948,15 @@ def op_extinction_profile_exact(ell: int, q: float, budget_sites: int = 10) -> O
         raise BudgetExceededError(f"{len(evens)} even sites exceed budget {budget_sites}")
     A = _class_transition(evens, odds, q)
     B = _class_transition(odds, evens, q)
-    Ald = A.astype(np.longdouble)
-    Bld = B.astype(np.longdouble)
-    Mld = (Ald @ Bld)[1:, 1:]
-    a1ld = Ald[1:, 1:].sum(axis=1)  # P(next odd state nonempty | even state)
-    n = Mld.shape[0]
-    full_idx = (1 << len(evens)) - 1 - 1
-    resolvent = _solve_longdouble(np.eye(n, dtype=np.longdouble) - Mld,
-                                  np.ones(n, dtype=np.longdouble) + a1ld)
-    mean_steps = float(resolvent[full_idx])
+    AB = A @ B
+    M = AB[1:, 1:]
+    a1 = A[1:, 1:].sum(axis=1)  # P(next odd state nonempty | even state)
+    n = M.shape[0]
+    full_idx = n - 1  # the full even state, mask 2^|evens| - 1
+    mean_steps = _gth_last_mean(M, AB[1:, 0], 1.0 + a1)
     # spectral survival in doubles: s(2k) = sum c_j w_j^k, odd steps add one
     # A factor; fall back to the slow-mode median when doubles cannot see
     # the decay
-    M = np.asarray(Mld, dtype=float)
-    a1 = np.asarray(a1ld, dtype=float)
     v0 = np.zeros(n)
     v0[full_idx] = 1.0
     w, V = np.linalg.eig(M)

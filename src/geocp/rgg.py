@@ -34,8 +34,8 @@ class GeometryConfig:
     def __post_init__(self):
         if not (0 < self.n < math.inf and self.radius > 0 and self.dim >= 1):
             raise ValueError("need finite n > 0, radius > 0, dim >= 1")
-        if not (0.0 < self.lower <= self.upper):
-            raise ValueError("intensity bounds need 0 < lower <= upper")
+        if not (0.0 < self.lower <= self.upper < math.inf):
+            raise ValueError("intensity bounds need finite 0 < lower <= upper")
 
     @property
     def domain_side(self) -> float:
@@ -50,6 +50,8 @@ class PointCloud:
     box_side: float
 
     def __post_init__(self):
+        if not 0.0 < self.box_side < math.inf:
+            raise ValueError("box_side must be finite and > 0")
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be a (count, dim) array")
@@ -110,8 +112,8 @@ def sample_binomial_points(
     by rejection from the uniform envelope at height `upper`."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    if not (0.0 < lower <= upper):
-        raise ValueError("density bounds need 0 < lower <= upper")
+    if not (0.0 < lower <= upper < math.inf):
+        raise ValueError("density bounds need finite 0 < lower <= upper")
     rng = np.random.default_rng(mix64(seed, TAG_POINTS, 2))
     out: list[np.ndarray] = []
     have = 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from geocp.contact import birth_death_clique_simulate
@@ -48,6 +50,60 @@ def test_ctmc_budget():
     # raising the cap within the hard limit is allowed
     with pytest.raises(BudgetExceededError):
         exact_expected_extinction_ctmc(build_complete(21), 1.0, cap=25)
+
+
+def test_ctmc_rejects_bad_rates():
+    for lam in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam"):
+            exact_expected_extinction_ctmc(build_complete(3), lam)
+
+
+def test_ctmc_hard_cap_refuses_before_allocating():
+    # the widest level of K15 alone would be C(15, 7)^2 doubles (331 MB)
+    with pytest.raises(BudgetExceededError):
+        exact_expected_extinction_ctmc(build_complete(15), 1.0, cap=15)
+
+
+@pytest.mark.parametrize("m", [8, 10, 12])
+@pytest.mark.parametrize("lam", [3.0, 8.0])
+def test_ctmc_exact_in_metastable_cliques(m, lam):
+    # E[tau] reaches 3.3e16 on K12 at lam = 8
+    assert exact_expected_extinction_ctmc(build_complete(m), lam) == pytest.approx(
+        math.exp(log_exact_clique_extinction(m, lam)), rel=1e-12)
+
+
+def _dense_generator_mean(g: Graph, lam: float) -> float:
+    """Full-start mean from one dense solve of the whole killed generator."""
+    n = g.vertex_count
+    size = 1 << n
+    Q = np.zeros((size, size))
+    for s in range(1, size):
+        for v in range(n):
+            if s >> v & 1:
+                Q[s, s ^ (1 << v)] = 1.0
+            else:
+                Q[s, s | (1 << v)] = lam * sum(s >> w & 1 for w in g.adjacency[v])
+        Q[s, s] = -Q[s].sum()
+    return float(np.linalg.solve(-Q[1:, 1:], np.ones(size - 1))[-1])
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on 1-7 vertices: a random tree plus extra edges, or any edge
+    subset (often disconnected, with isolated vertices)."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))) if pairs else set()
+    if draw(st.booleans()):
+        edges |= {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    return Graph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_graphs(), st.floats(0.05, 3.0))
+def test_ctmc_matches_dense_generator_solve(g, lam):
+    assert exact_expected_extinction_ctmc(g, lam) == pytest.approx(
+        _dense_generator_mean(g, lam), rel=1e-10)
 
 
 def test_spectral_rates_sum_identity():

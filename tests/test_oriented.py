@@ -1,5 +1,6 @@
 import math
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -220,3 +221,45 @@ def test_extinction_profile_budget_and_degenerate():
         op_extinction_profile_exact(40, 0.9)
     assert op_extinction_profile_exact(4, 1.0).mean_steps == math.inf
     assert op_extinction_profile_exact(0, 0.9).mean_steps == pytest.approx(1.0)
+
+
+def _op_fraction_mean(ell: int, q: Fraction) -> Fraction:
+    """Mean extinction step from the full even start, by exact rational
+    elimination over every nonempty (parity, occupied set) state.  Each site
+    of the next parity opens with probability 1 - (1 - q)^(occupied parents)."""
+    states = [(p, frozenset(c)) for p in (0, 1) for r in range(1, ell + 2)
+              for c in combinations(range(p, ell + 1, 2), r)]
+    index = {s: i for i, s in enumerate(states)}
+    size = len(states)
+    rows = [[Fraction(int(i == j)) for j in range(size)] + [Fraction(1)] for i in range(size)]
+    for (p, occ), i in index.items():
+        targets = sorted({j for s in occ for j in (s - 1, s + 1) if 0 <= j <= ell})
+        opens = [1 - (1 - q) ** ((j - 1 in occ) + (j + 1 in occ)) for j in targets]
+        for keep in product((False, True), repeat=len(targets)):
+            nxt = frozenset(j for j, k in zip(targets, keep) if k)
+            if nxt:
+                pr = math.prod((o if k else 1 - o for o, k in zip(opens, keep)), start=Fraction(1))
+                rows[i][index[(1 - p, nxt)]] -= pr
+    for col in range(size):  # Gauss-Jordan; I - P is a nonsingular M-matrix
+        pivot = rows[col]
+        inv = 1 / pivot[col]
+        pivot[:] = [x * inv for x in pivot]
+        for r in range(size):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], pivot)]
+    return rows[index[(0, frozenset(range(0, ell + 1, 2)))]][-1]
+
+
+@pytest.mark.parametrize("ell", range(9))
+def test_extinction_profile_mean_matches_rational_solve(ell):
+    exact = _op_fraction_mean(ell, Fraction(7, 10))
+    assert op_extinction_profile_exact(ell, 0.7).mean_steps == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_extinction_profile_mean_in_the_metastable_regime():
+    # 1.053e16 is the ell = 16, q = 0.95 mean from a 60-digit solve
+    m16 = op_extinction_profile_exact(16, 0.95).mean_steps
+    assert m16 == pytest.approx(1.053e16, rel=1e-3)
+    m18 = op_extinction_profile_exact(18, 0.95).mean_steps
+    assert m16 < m18 < math.inf

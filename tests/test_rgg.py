@@ -269,3 +269,20 @@ def test_geometry_config_rejects_non_finite():
         with pytest.raises(ValueError):
             GeometryConfig(n, radius, 2)
     assert GeometryConfig(100.0, math.inf, 2).radius == math.inf
+
+
+def test_point_cloud_rejects_bad_box_side():
+    for side in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="box_side"):
+            PointCloud(np.array([[5.0, 7.0]]), side)
+    with pytest.raises(ValueError, match="box_side"):
+        PointCloud(np.empty((0, 2)), math.nan)
+
+
+def test_intensity_bounds_must_be_finite():
+    for lower, upper in ((1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            GeometryConfig(100.0, 1.0, 2, None, lower, upper)
+        with pytest.raises(ValueError, match="finite"):
+            sample_binomial_points(5, 2, 0, None, lower, upper)
+    assert len(sample_poisson_points(GeometryConfig(100.0, 1.0, 2, None, 1.0, 2.0), 0)) > 0
