@@ -6,13 +6,12 @@ and duality support, closed-form bounds, and the statistics needed to test
 extinction-time scaling and the unit-exponential metastability limit.
 """
 
-from .bounds import (BoundReport, bound_report, early_extinction_floor,
-                     extinction_time_bound, log_clique_persistence_time,
-                     log_extinction_time_bound, rgg_log_tau_scale, ruin_probability)
+from .bounds import (early_extinction_floor, extinction_time_bound,
+                     log_clique_persistence_time, log_extinction_time_bound,
+                     rgg_log_tau_scale, ruin_probability)
 from .contact import (ContactConfig, LitSnapshot, TauSample, birth_death_clique_simulate,
                       lit_snapshots, record_event_window, sample_extinction_times,
-                      simulate_coupled, simulate_dual, simulate_extinction,
-                      simulate_rate_coupled)
+                      simulate_coupled, simulate_extinction, simulate_rate_coupled)
 from .errors import BudgetExceededError
 from .exact import (clique_extinction_rates, exact_clique_extinction,
                     exact_expected_extinction_ctmc, log_exact_clique_extinction,
@@ -23,13 +22,11 @@ from .graphs import (CaterpillarGraph, CaterpillarSpec, Graph, build_caterpillar
 from .percolation import (EdgeTrack, OrientedRun, SiteGrid, find_long_open_path,
                           full_interval_initial, glue_plane_paths,
                           longest_open_path_exact, op_exact_survival,
-                          op_extinction_profile_exact, op_first_passage,
-                          op_mid_density, op_run, op_survival_frequency,
-                          path_is_valid, sample_site_grid)
+                          op_extinction_profile_exact, op_first_passage, op_run,
+                          op_survival_frequency, path_is_valid, sample_site_grid)
 from .rgg import (CaterpillarEmbedding, GeometryConfig, PointCloud, build_rgg,
                   build_rgg_bruteforce, discretize_boxes, embedding_is_valid,
-                  find_caterpillar_embedding, sample_binomial_points,
-                  sample_poisson_points)
+                  find_caterpillar_embedding, sample_poisson_points)
 from .stats import (SampleSummary, SurvivalCurve, TauBatch, fit_loglinear,
                     ks_to_exp1, survival_curve)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, asdict
 
 _MAX_EXP = math.log(sys.float_info.max)
 
@@ -93,42 +92,3 @@ def rgg_log_tau_scale(n: float, lam: float, radius: float, dim: int) -> float:
         )
     return n * math.log(lrd)
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Log-space summary of the closed-form scales for one graph."""
-
-    vertex_count: int
-    edge_count: int
-    lam: float
-    log_f_bound: float
-    log_early_extinction_floor: float
-    log_tau_scale: float | None = None  # only with geometric metadata
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def bound_report(
-    vertex_count: int,
-    edge_count: int,
-    lam: float,
-    *,
-    n: float | None = None,
-    radius: float | None = None,
-    dim: int | None = None,
-) -> BoundReport:
-    scale = None
-    if n is not None and radius is not None and dim is not None:
-        try:
-            scale = rgg_log_tau_scale(n, lam, radius, dim)
-        except ValueError:
-            scale = None
-    return BoundReport(
-        vertex_count=vertex_count,
-        edge_count=edge_count,
-        lam=lam,
-        log_f_bound=log_extinction_time_bound(vertex_count, edge_count, lam),
-        log_early_extinction_floor=math.log(early_extinction_floor(vertex_count, edge_count, lam)),
-        log_tau_scale=scale,
-    )

@@ -441,25 +441,6 @@ def dual_from_record(record: EventRecord, targets: Iterable[int], t_end: float
 
 
 @dataclass(frozen=True)
-class DualRun:
-    target: int
-    window: float
-    trajectory: tuple[tuple[float, frozenset[int]], ...]
-
-    @property
-    def final(self) -> frozenset[int]:
-        return self.trajectory[-1][1]
-
-
-def simulate_dual(g: Graph, cfg: ContactConfig, target: int, window: float) -> DualRun:
-    """Dual process of a single target vertex over [0, window]."""
-    if not (0 <= target < g.vertex_count):
-        raise ValueError("target vertex out of range")
-    record = record_event_window(g, cfg.lam, cfg.seed, window)
-    return DualRun(target, window, tuple(dual_from_record(record, [target], window)))
-
-
-@dataclass(frozen=True)
 class CoupledRun:
     tau_low: float | None
     tau_high: float | None

@@ -7,9 +7,14 @@ Conventions used throughout:
 * lattice adjacency is nearest-neighbor (one axis differs by one);
 * oriented percolation lives on the parity lattice
   Gamma = {(i, k) in [0, ell] x N : i + k even}, arrows go from (i, k) to
-  (i +/- 1, k + 1) and are materialized lazily from counter-based hashes of
-  (seed, i, k, direction), so runs with different retention probabilities
-  or initial sets can share one arrow field.
+  (i +/- 1, k + 1) and are counter-based hashes of (seed, i, k, direction),
+  so runs with different retention probabilities or initial sets share one
+  arrow field;
+* every oriented-percolation run steps through `_op_step`, which hashes a
+  whole step's arrows at once for any number of replicas; replica r of a
+  batch runs on the field of derive_seed(seed, r), so it is exactly the
+  single run `op_run` with that seed.  Only the site grids draw from a
+  numpy Generator.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .rng import TAG_ARROW, TAG_SITE, mix64, uniform_from_key
+from .rng import TAG_ARROW, TAG_REPLICA, TAG_SITE, mix64, mix64_array, uniform_from_key
 
 # ---------------------------------------------------------------------------
 # site grids
@@ -652,11 +657,11 @@ def full_interval_initial(ell: int) -> frozenset[int]:
 
 
 def arrow_open(seed: int, i: int, k: int, direction: int, q: float) -> bool:
-    """Arrow from (i, k) to (i + (direction and 1 or -1)...).
+    """Arrow from (i, k) to (i - 1, k + 1) for direction 0, or to
+    (i + 1, k + 1) for direction 1.
 
-    direction 0 means target i-1, direction 1 means target i+1.  The
-    underlying uniform depends only on (seed, i, k, direction), so the same
-    field serves every q.
+    The underlying uniform depends only on (seed, i, k, direction), so the
+    same field serves every q.
     """
     return uniform_from_key(seed, TAG_ARROW, i, k, direction) < q
 
@@ -681,7 +686,11 @@ class OrientedRun:
     track: EdgeTrack
 
 
-def _check_initial(ell: int, initial: Iterable[int]) -> frozenset[int]:
+def _check_op(ell: int, q: float, steps: int, initial: Iterable[int] = ()) -> frozenset[int]:
+    """The input check shared by every oriented-percolation entry point;
+    returns the initial set."""
+    if ell < 0 or steps < 0 or not (0.0 <= q <= 1.0):
+        raise ValueError("need ell >= 0, steps >= 0 and 0 <= q <= 1")
     init = frozenset(int(i) for i in initial)
     if any(i < 0 or i > ell for i in init):
         raise ValueError("initial sites must lie in [0, ell]")
@@ -691,32 +700,57 @@ def _check_initial(ell: int, initial: Iterable[int]) -> frozenset[int]:
     return init
 
 
+_DIRECTIONS = np.arange(2, dtype=np.uint64)
+_SHIFT = np.uint64(11)
+
+
+def _op_start(ell: int, initial: frozenset[int], seeds):
+    """Set-up of the oriented-percolation stepper for one replica per seed
+    (an int, or a uint64 array): the arrow keys mix64(seed, TAG_ARROW, i) by
+    replica (rows) and site i (columns), and the step-0 occupancy."""
+    keys = mix64_array(np.arange(ell + 1), state=mix64_array(seeds, TAG_ARROW)[:, None])
+    occ = np.zeros(keys.shape, dtype=bool)
+    occ[:, sorted(initial)] = True
+    return keys, occ
+
+
+def _op_step(keys: np.ndarray, t: int, occ: np.ndarray, q: float):
+    """The oriented-percolation stepper: from the occupancy `occ` at step t,
+    returns the flags `left` and `right` of the arrows out of step t and the
+    occupancy at step t + 1.  Only the sites i with i + t even can be
+    occupied, so only they are hashed: there left[r, i] is
+    arrow_open(seed_r, i, t, 0, q) and right[r, i] is
+    arrow_open(seed_r, i, t, 1, q), bit for bit; elsewhere both are False."""
+    p = t % 2
+    h = mix64_array(t, state=keys[:, p::2])
+    # u < q exactly when (hash >> 11) < q * 2^53
+    flags = mix64_array(_DIRECTIONS, state=h[..., None]) >> _SHIFT < q * 2.0**53
+    left, right, nxt = np.zeros((3,) + occ.shape, dtype=bool)
+    left[:, p::2], right[:, p::2] = flags[..., 0], flags[..., 1]
+    nxt[:, :-1] = occ[:, 1:] & left[:, 1:]
+    nxt[:, 1:] |= occ[:, :-1] & right[:, :-1]
+    return left, right, nxt
+
+
 def op_run(ell: int, q: float, initial: Iterable[int], horizon: int, seed: int) -> OrientedRun:
     """Exact trajectory of the oriented percolation up to `horizon` steps.
 
     Recording stops at the extinction step (the empty set is absorbing, so
     every later state is empty); `extinction_step` carries the step index.
     """
-    if ell < 0 or horizon < 0 or not (0.0 <= q <= 1.0):
-        raise ValueError("need ell >= 0, horizon >= 0, 0 <= q <= 1")
-    cur = _check_initial(ell, initial)
-    occupancy = [cur]
+    occupancy = [_check_op(ell, q, horizon, initial)]
     arrows: dict = {}
-    extinction = None if cur else 0
-    t = 0
-    while t < horizon and occupancy[-1]:
-        nxt = set()
+    keys, occ = _op_start(ell, occupancy[0], seed)
+    while len(occupancy) <= horizon and occupancy[-1]:
+        t = len(occupancy) - 1
+        go_left, go_right, occ = _op_step(keys, t, occ, q)
         for i in occupancy[-1]:
-            for direction, j in ((0, i - 1), (1, i + 1)):
-                if 0 <= j <= ell:
-                    a = arrow_open(seed, i, t, direction, q)
-                    arrows[(i, t, direction)] = a
-                    if a:
-                        nxt.add(j)
-        occupancy.append(frozenset(nxt))
-        t += 1
-        if not nxt and extinction is None:
-            extinction = t
+            if i > 0:
+                arrows[(i, t, 0)] = bool(go_left[0, i])
+            if i < ell:
+                arrows[(i, t, 1)] = bool(go_right[0, i])
+        occupancy.append(frozenset(occ[0].nonzero()[0].tolist()))
+    extinction = None if occupancy[-1] else len(occupancy) - 1
     left = tuple(min(s) if s else None for s in occupancy)
     right = tuple(max(s) if s else None for s in occupancy)
     return OrientedRun(ell, q, horizon, seed, tuple(occupancy), arrows, extinction,
@@ -732,21 +766,15 @@ class FirstPassage:
 def op_first_passage(ell: int, q: float, seed: int) -> FirstPassage:
     """First step at which site ell is occupied starting from {0}, censored
     at horizon 2*ell."""
-    horizon = 2 * ell
-    cur = frozenset({0})
+    _check_op(ell, q, 0)
+    keys, occ = _op_start(ell, frozenset({0}), seed)
     t = 0
-    while True:
-        if ell in cur:
-            return FirstPassage(t, False)
-        if t >= horizon or not cur:
+    while not occ[0, ell]:
+        if t == 2 * ell or not occ.any():
             return FirstPassage(None, True)
-        nxt = set()
-        for i in cur:
-            for direction, j in ((0, i - 1), (1, i + 1)):
-                if 0 <= j <= ell and arrow_open(seed, i, t, direction, q):
-                    nxt.add(j)
-        cur = frozenset(nxt)
+        occ = _op_step(keys, t, occ, q)[2]
         t += 1
+    return FirstPassage(t, False)
 
 
 def op_exact_survival(ell: int, q: float, t: int, initial: Iterable[int]) -> float:
@@ -756,11 +784,9 @@ def op_exact_survival(ell: int, q: float, t: int, initial: Iterable[int]) -> flo
 
     Budget: ell <= 4 and t <= 8.
     """
+    init = _check_op(ell, q, t, initial)
     if ell > 4 or t > 8:
         raise BudgetExceededError("exact survival budget is ell <= 4, t <= 8")
-    if not (0.0 <= q <= 1.0):
-        raise ValueError("q must lie in [0, 1]")
-    init = _check_initial(ell, initial)
     evens = list(range(0, ell + 1, 2))
     odds = list(range(1, ell + 1, 2))
     steps = (_class_transition(evens, odds, q), _class_transition(odds, evens, q))
@@ -773,29 +799,25 @@ def op_exact_survival(ell: int, q: float, t: int, initial: Iterable[int]) -> flo
 
 def _simulate_batch(ell: int, q: float, steps: int, replicas: int, seed: int,
                     initial: Iterable[int]):
-    """Vectorized replica fan-out; returns occupancy (replicas, ell+1) after
-    `steps` steps and the per-replica extinction step (steps+1 if alive)."""
-    init = _check_initial(ell, initial)
-    rng = np.random.default_rng(mix64(seed, TAG_ARROW, 0x524550))
-    occ = np.zeros((replicas, ell + 1), dtype=bool)
-    occ[:, sorted(init)] = True
-    extinct_at = np.full(replicas, steps + 1, dtype=np.int64)
-    alive = occ.any(axis=1)
-    extinct_at[~alive] = 0
-    for t in range(1, steps + 1):
-        go_left = rng.random((replicas, ell + 1)) < q
-        go_right = rng.random((replicas, ell + 1)) < q
-        nxt = np.zeros_like(occ)
-        nxt[:, :-1] |= occ[:, 1:] & go_left[:, 1:]
-        nxt[:, 1:] |= occ[:, :-1] & go_right[:, :-1]
-        occ = nxt
-        now_alive = occ.any(axis=1)
-        died = alive & ~now_alive
-        extinct_at[died] = t
-        alive = now_alive
-        if not alive.any():
+    """Replica r is op_run(ell, q, initial, steps, derive_seed(seed, r)),
+    run in lockstep; returns the (replicas, ell+1) occupancy after `steps`
+    steps and each replica's extinction step (steps + 1 if alive)."""
+    init = _check_op(ell, q, steps, initial)
+    # derive_seed(seed, r) for every r
+    keys, occ = _op_start(ell, init, mix64_array(seed, TAG_REPLICA, np.arange(replicas)))
+    extinct_at = np.full(replicas, steps + 1)
+    live = np.arange(replicas)  # the replicas still alive: the rows of keys and occ
+    for t in range(steps + 1):
+        alive = occ.any(axis=1)
+        if not alive.all():
+            extinct_at[live[~alive]] = t
+            live, keys, occ = live[alive], keys[alive], occ[alive]
+        if t == steps or not live.size:
             break
-    return occ, extinct_at
+        occ = _op_step(keys, t, occ, q)[2]
+    final = np.zeros((replicas, ell + 1), dtype=bool)
+    final[live] = occ
+    return final, extinct_at
 
 
 def op_survival_frequency(ell: int, q: float, t: int, replicas: int, seed: int,
@@ -808,14 +830,6 @@ def op_survival_frequency(ell: int, q: float, t: int, replicas: int, seed: int,
     freq = float((extinct_at > t).mean())
     se = math.sqrt(max(freq * (1 - freq), 1.0 / replicas) / replicas)
     return freq, se
-
-
-def op_extinction_steps(ell: int, q: float, horizon: int, replicas: int, seed: int,
-                        initial: Iterable[int] | None = None) -> np.ndarray:
-    """Per-replica extinction step, horizon+1 when still alive at horizon."""
-    init = full_interval_initial(ell) if initial is None else initial
-    _, extinct_at = _simulate_batch(ell, q, horizon, replicas, seed, init)
-    return extinct_at
 
 
 @dataclass(frozen=True)
@@ -857,11 +871,6 @@ def op_mid_density_multi(ell: int, q: float, step: int, betas: Sequence[float],
         out.append(MidDensityEstimate(beta, step, threshold, (lo_i, hi_i), est, se,
                                       wilson_interval(hits, replicas), replicas))
     return out
-
-
-def op_mid_density(ell: int, q: float, step: int, beta: float, replicas: int,
-                   seed: int) -> MidDensityEstimate:
-    return op_mid_density_multi(ell, q, step, [beta], replicas, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -938,8 +947,7 @@ def op_extinction_profile_exact(ell: int, q: float, budget_sites: int = 10) -> O
     asymptotically exact single-slow-mode value mean*log(2).
     Budget: at most `budget_sites` even sites (matrix side 2^sites).
     """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError("q must lie in [0, 1]")
+    _check_op(ell, q, 0)
     if q == 1.0:
         return OPExtinctionProfile(math.inf, math.inf)
     evens = list(range(0, ell + 1, 2))
@@ -992,24 +1000,8 @@ def op_extinction_profile_exact(ell: int, q: float, budget_sites: int = 10) -> O
 
 
 # ---------------------------------------------------------------------------
-# grid/path text dumps
+# path text dump
 # ---------------------------------------------------------------------------
-
-
-def grid_to_text(grid: SiteGrid) -> str:
-    """Rows of 0/1 per site; d = 3 grids are emitted plane by plane with
-    blank separator lines."""
-    arr = grid.open.astype(int)
-    if arr.ndim == 1:
-        return "".join(str(x) for x in arr) + "\n"
-    if arr.ndim == 2:
-        return "\n".join("".join(str(x) for x in row) for row in arr) + "\n"
-    if arr.ndim == 3:
-        planes = []
-        for plane in arr:
-            planes.append("\n".join("".join(str(x) for x in row) for row in plane))
-        return ("\n\n").join(planes) + "\n"
-    raise ValueError("text dump supports d <= 3")
 
 
 def path_to_text(path: Sequence[tuple[int, ...]]) -> str:

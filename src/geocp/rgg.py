@@ -100,35 +100,6 @@ def sample_poisson_points(cfg: GeometryConfig, seed: int) -> PointCloud:
     return PointCloud(pts[keep], side)
 
 
-def sample_binomial_points(
-    count: int,
-    dim: int,
-    seed: int,
-    density: Callable[[np.ndarray], np.ndarray] | None = None,
-    lower: float = 1.0,
-    upper: float = 1.0,
-) -> PointCloud:
-    """Exactly `count` i.i.d. points on [0,1]^dim with the given density,
-    by rejection from the uniform envelope at height `upper`."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if not (0.0 < lower <= upper < math.inf):
-        raise ValueError("density bounds need finite 0 < lower <= upper")
-    rng = np.random.default_rng(mix64(seed, TAG_POINTS, 2))
-    out: list[np.ndarray] = []
-    have = 0
-    while have < count:
-        batch = max(count - have, 64)
-        pts = rng.random((batch, dim))
-        vals = _evaluate_intensity(density, lower, upper, pts)
-        keep = rng.random(batch) < vals / upper
-        accepted = pts[keep]
-        out.append(accepted)
-        have += accepted.shape[0]
-    pts = np.concatenate(out)[:count] if out else np.empty((0, dim))
-    return PointCloud(pts, 1.0)
-
-
 def _pair_edges(a_pts: np.ndarray, b_pts: np.ndarray, r2: float) -> np.ndarray:
     d2 = ((a_pts[:, None, :] - b_pts[None, :, :]) ** 2).sum(axis=2)
     return d2 <= r2
@@ -335,12 +306,6 @@ def to_point_text(cloud: PointCloud) -> str:
     """One point per line, space-separated coordinates, 17 significant digits."""
     lines = [" ".join(f"{x:.17g}" for x in row) for row in cloud.points]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def from_point_text(text: str, box_side: float) -> PointCloud:
-    rows = [[float(x) for x in ln.split()] for ln in text.splitlines() if ln.strip()]
-    pts = np.asarray(rows, dtype=float) if rows else np.empty((0, 1))
-    return PointCloud(pts, box_side)
 
 
 def write_points(cloud: PointCloud, path) -> None:

@@ -14,9 +14,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MULT = 0xD1342543DE82EF95
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
+# the same constants and the finalizer's shifts as numpy scalars, for mix64_array
+_U_MULT, _U_GOLDEN, _U_M1, _U_M2 = map(np.uint64, (_MULT, _GOLDEN, _M1, _M2))
+_U30, _U27, _U31 = map(np.uint64, (30, 27, 31))
 
 # fixed stream tags so independent consumers never collide on keys
 TAG_REPLICA = 0x52455053
@@ -30,8 +37,8 @@ TAG_CONTACT = 0x434F4E54
 
 def _finalize(x: int) -> int:
     x &= _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    x = ((x ^ (x >> 30)) * _M1) & _MASK
+    x = ((x ^ (x >> 27)) * _M2) & _MASK
     return x ^ (x >> 31)
 
 
@@ -41,6 +48,32 @@ def mix64(*keys: int) -> int:
     for k in keys:
         h = _finalize((h + _GOLDEN) ^ ((k & _MASK) * _MULT & _MASK))
     return h
+
+
+def mix64_array(*keys, state=_GOLDEN) -> np.ndarray:
+    """`mix64` over numpy arrays: the keys broadcast together, and each
+    element equals `mix64` of its keys, read as uint64 (so negative ints wrap
+    as `mix64` masks them).  `state`, an int or a uint64 array of at least
+    one dimension, continues a fold: mix64_array(b, state=mix64(a)) ==
+    mix64(a, b).  The result has at least one dimension."""
+    h = state
+    for k in keys:
+        if isinstance(h, int):
+            if isinstance(k, int):  # a scalar prefix folds in plain Python
+                h = _finalize((h + _GOLDEN) ^ ((k & _MASK) * _MULT & _MASK))
+                continue
+            h = np.array([h & _MASK], dtype=np.uint64)
+        if isinstance(k, int):
+            k = (k & _MASK) * _MULT & _MASK
+        else:
+            k = np.asarray(k).astype(np.uint64, copy=False) * _U_MULT
+        h = (h + _U_GOLDEN) ^ k
+        h ^= h >> _U30
+        h *= _U_M1
+        h ^= h >> _U27
+        h *= _U_M2
+        h ^= h >> _U31
+    return np.array([h & _MASK], dtype=np.uint64) if isinstance(h, int) else h
 
 
 def uniform_from_key(*keys: int) -> float:

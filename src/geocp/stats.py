@@ -78,13 +78,6 @@ def ks_to_exp1(sample: Sequence[float]) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def exp1_quantile_sample(count: int, seed: int) -> np.ndarray:
-    """Exact inverse-CDF unit-exponential variates from a seeded uniform stream."""
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    return -np.log1p(-u)
-
-
 def fit_loglinear(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
     """Ordinary least squares fit y = slope*x + intercept.
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geocp.bounds import (bound_report, early_extinction_floor, extinction_time_bound,
+from geocp.bounds import (early_extinction_floor, extinction_time_bound,
                           log_clique_persistence_time, log_extinction_time_bound,
                           rgg_log_tau_scale, ruin_probability)
 
@@ -90,19 +90,11 @@ def test_ruin_matches_martingale_bound():
 def test_rgg_log_tau_scale():
     assert rgg_log_tau_scale(5.0, math.e, 1.0, 2) == pytest.approx(5.0)
     assert rgg_log_tau_scale(100, 1.0, 10.0, 2) == pytest.approx(100 * math.log(100.0))
+    assert rgg_log_tau_scale(100.0, 0.5, 10.0, 2) == pytest.approx(100 * math.log(50.0))
     assert rgg_log_tau_scale(20, 1.0, 10.0, 2) * 2 == pytest.approx(
         rgg_log_tau_scale(40, 1.0, 10.0, 2))
     with pytest.raises(ValueError, match="regime"):
         rgg_log_tau_scale(100, 0.5, 1.0, 2)
-
-
-def test_bound_report_serializable():
-    rep = bound_report(10, 20, 0.5, n=100.0, radius=10.0, dim=2)
-    d = rep.as_dict()
-    assert d["vertex_count"] == 10
-    assert d["log_tau_scale"] == pytest.approx(100 * math.log(50.0))
-    rep2 = bound_report(10, 20, 0.5)  # no geometry: scale absent
-    assert rep2.log_tau_scale is None
 
 
 def test_floor_holds_on_two_clique_simulation():

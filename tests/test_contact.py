@@ -10,8 +10,8 @@ from geocp.contact import (ContactConfig, TauSample, _block_sums, _extinction_ke
                            _healthy_flags, _mask_of, _pick_target, _start_state, _sweep,
                            birth_death_clique_simulate, dual_from_record,
                            forward_from_record, lit_snapshots, record_event_window,
-                           sample_extinction_times, simulate_coupled, simulate_dual,
-                           simulate_extinction, simulate_rate_coupled)
+                           sample_extinction_times, simulate_coupled, simulate_extinction,
+                           simulate_rate_coupled)
 from geocp.exact import exact_clique_extinction, exact_expected_extinction_ctmc
 from geocp.experiments import battery_graphs
 from geocp.graphs import (CaterpillarSpec, Graph, build_caterpillar, build_complete,
@@ -161,12 +161,12 @@ def test_sweep_catches_broken_containment():
 
 def test_dual_degenerate_windows():
     g = build_complete(4)
-    run = simulate_dual(g, ContactConfig(1.0, seed=3), target=2, window=0.0)
-    assert run.final == frozenset({2})
+    dual = dual_from_record(record_event_window(g, 1.0, 3, 0.0), [2], 0.0)
+    assert dual[-1][1] == frozenset({2})
     # lam -> 0: the dual holds the target until its recovery clock rings
     g2 = Graph.from_edges(2, [(0, 1)])
-    run2 = simulate_dual(g2, ContactConfig(1e-12, seed=5), target=0, window=4.0)
-    states = [s for _, s in run2.trajectory]
+    dual2 = dual_from_record(record_event_window(g2, 1e-12, 5, 4.0), [0], 4.0)
+    states = [s for _, s in dual2]
     assert states[0] == frozenset({0})
     assert all(s in (frozenset({0}), frozenset()) for s in states)
 

@@ -1,14 +1,17 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from geocp.errors import BudgetExceededError
-from geocp.percolation import (arrow_open, full_interval_initial, op_exact_survival,
-                               op_extinction_profile_exact, op_extinction_steps,
-                               op_first_passage, op_mid_density, op_mid_density_multi,
-                               op_run, op_survival_frequency)
+from geocp.percolation import (FirstPassage, _simulate_batch, arrow_open, full_interval_initial,
+                               op_exact_survival, op_extinction_profile_exact,
+                               op_first_passage, op_mid_density_multi, op_run,
+                               op_survival_frequency)
+from geocp.rng import derive_seed
 
 
 def test_parity_rejection():
@@ -148,6 +151,79 @@ def test_exact_survival_matches_enumeration():
                         _survival_enumeration(ell, q, t, init), abs=1e-12), (ell, q, t, init)
 
 
+def _canon(run):
+    return (tuple(tuple(sorted(s)) for s in run.occupancy), tuple(sorted(run.arrows.items())),
+            run.extinction_step, run.track.left, run.track.right)
+
+
+def test_op_run_and_first_passage_golden():
+    """Outputs recorded from the site-by-site scalar-hash steppers that the
+    array stepper replaced; seeds outside [0, 2^64) are masked to 64 bits."""
+    run = op_run(3, 0.6, {0, 2}, 5, 11)
+    assert run.occupancy == tuple(map(frozenset, [{0, 2}, {1}, {0, 2}, {1, 3}, {0, 2}, {1, 3}]))
+    assert run.arrows == {
+        (0, 0, 1): True, (0, 2, 1): True, (0, 4, 1): True, (1, 1, 0): True, (1, 1, 1): True,
+        (1, 3, 0): True, (1, 3, 1): True, (2, 0, 0): True, (2, 0, 1): False, (2, 2, 0): True,
+        (2, 2, 1): True, (2, 4, 0): True, (2, 4, 1): True, (3, 3, 0): True}
+    assert run.extinction_step is None
+    assert (run.track.left, run.track.right) == ((0, 1, 0, 1, 0, 1), (2, 1, 2, 3, 2, 3))
+    run = op_run(6, 0.7, full_interval_initial(6), 10, -1)
+    assert run.extinction_step == 7
+    assert run.occupancy[-3:] == (frozenset({1, 3}), frozenset({2, 4}), frozenset())
+    assert _canon(op_run(2, 0.5, {0, 2}, 4, 2**64 - 1)) == (
+        ((0, 2), ()), (((0, 0, 1), False), ((2, 0, 0), False)), 1, (0, None), (2, None))
+    assert op_first_passage(4, 0.7, 3) == FirstPassage(None, True)
+    assert op_first_passage(5, 0.8, -7) == FirstPassage(5, False)
+    seeds = [0, 1, 7, 2**63, 2**64 - 1, -1, -12345, 2**64 + 9]
+    cells = []
+    for ell in (0, 1, 2, 5, 9):
+        for q in (0.0, 0.35, 0.7, 1.0):
+            for start in (full_interval_initial(ell), {0}, {ell - ell % 2}):
+                for horizon in (0, 3, 2 * ell + 3):
+                    cells += [_canon(op_run(ell, q, start, horizon, seed)) for seed in seeds]
+    for ell in (0, 1, 3, 8):
+        for q in (0.0, 0.5, 0.8, 1.0):
+            for seed in seeds:
+                fp = op_first_passage(ell, q, seed)
+                cells.append((fp.sigma, fp.censored))
+    digest = hashlib.sha256(repr(cells).encode()).hexdigest()
+    assert (len(cells), digest) == (
+        1568, "112a5ab92d5abcc31da0c6ab743fc85ee32e1229266433b13c44959102391e0e")
+
+
+@pytest.mark.parametrize("ell, q, start", [(0, 0.5, "full"), (1, 0.7, {0}), (4, 0.6, "full"),
+                                           (7, 0.85, {2}), (12, 0.95, "full"), (5, 1.0, {4})])
+def test_batch_replica_is_op_run_on_its_derived_seed(ell, q, start):
+    init = full_interval_initial(ell) if start == "full" else start
+    steps, replicas, seed = 2 * ell + 5, 24, 1000 + ell
+    occ, extinct_at = _simulate_batch(ell, q, steps, replicas, seed, init)
+    for r in range(replicas):
+        run = op_run(ell, q, init, steps, derive_seed(seed, r))
+        assert extinct_at[r] == (steps + 1 if run.extinction_step is None else run.extinction_step)
+        assert frozenset(np.flatnonzero(occ[r]).tolist()) == run.occupancy[-1]
+
+
+@pytest.mark.parametrize("entry, bad_calls", [
+    pytest.param(op_run, [(-1, 0.5, (), 2, 1), (-2, 0.5, (), 2, 1), (4, 1.5, (), 2, 1),
+                          (4, math.nan, (), 2, 1), (4, 0.5, (), -1, 1)], id="op_run"),
+    pytest.param(op_first_passage, [(-1, 0.5, 0), (4, math.nan, 0), (4, 1.5, 0), (4, -0.1, 0)],
+                 id="op_first_passage"),
+    pytest.param(op_exact_survival, [(4, 0.5, -1, {0}), (-1, 0.5, 2, ()), (4, 1.5, 2, {0}),
+                                     (4, math.nan, 2, {0})], id="op_exact_survival"),
+    pytest.param(op_survival_frequency, [(4, 1.5, 2, 100, 1), (4, 0.5, -1, 100, 1),
+                                         (-2, 0.5, 2, 100, 1), (4, math.nan, 2, 100, 1)],
+                 id="op_survival_frequency"),
+    pytest.param(op_mid_density_multi, [(4, 1.5, 2, [0.5], 100, 1), (4, 0.5, -3, [0.5], 100, 1),
+                                        (-2, 0.5, 2, [0.5], 100, 1)], id="op_mid_density_multi"),
+    pytest.param(op_extinction_profile_exact, [(-3, 0.5), (4, 1.5), (4, math.nan)],
+                 id="op_extinction_profile_exact"),
+])
+def test_op_entry_point_rejects_bad_inputs(entry, bad_calls):
+    for args in bad_calls:
+        with pytest.raises(ValueError, match="ell >= 0"):
+            entry(*args)
+
+
 def test_simulated_survival_matches_exact():
     for ell, q in [(2, 0.3), (3, 0.6), (4, 0.9)]:
         init = full_interval_initial(ell)
@@ -196,9 +272,9 @@ def test_edge_track_consistency():
 
 def test_mid_density_degenerate_and_monotone():
     with pytest.raises(ValueError):
-        op_mid_density(4, 0.5, 2, 0.5, 0, 1)
+        op_mid_density_multi(4, 0.5, 2, [0.5], 0, 1)
     # ell=2, beta=1, q=1: window [0,2] holds both even sites, threshold 1.5
-    est = op_mid_density(2, 1.0, 4, 1.0, 200, 5)
+    est = op_mid_density_multi(2, 1.0, 4, [1.0], 200, 5)[0]
     assert est.estimate == 1.0
     ests = op_mid_density_multi(20, 0.95, 64, [0.3, 0.5, 0.7], 1500, 3)
     vals = [e.estimate for e in ests]
@@ -209,7 +285,7 @@ def test_mid_density_degenerate_and_monotone():
 def test_extinction_profile_exact_vs_simulation():
     prof = op_extinction_profile_exact(4, 0.95)
     assert prof.median_steps / prof.mean_steps == pytest.approx(math.log(2), rel=0.01)
-    steps = op_extinction_steps(4, 0.95, 300_000, 200, 5)
+    _, steps = _simulate_batch(4, 0.95, 300_000, 200, 5, full_interval_initial(4))
     assert int((steps > 300_000).sum()) == 0
     sim_mean = steps.mean()
     se = steps.std(ddof=1) / math.sqrt(len(steps))

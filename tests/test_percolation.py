@@ -5,7 +5,7 @@ import pytest
 
 from geocp.errors import BudgetExceededError
 from geocp.percolation import (SiteGrid, crossing_frequency, find_long_open_path,
-                               glue_plane_paths, grid_from_field, grid_to_text,
+                               glue_plane_paths, grid_from_field,
                                has_crossing, longest_open_path_exact, path_is_valid,
                                path_to_text, sample_site_grid, sample_uniform_field)
 
@@ -115,7 +115,6 @@ def test_glue_falls_back_when_structure_absent():
 
 def test_text_dumps():
     grid = sample_site_grid((2, 3), 1.0, 0)
-    assert grid_to_text(grid) == "111\n111\n"
     path = find_long_open_path(grid)
     text = path_to_text(path)
     assert len(text.strip().splitlines()) == len(path)

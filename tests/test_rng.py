@@ -1,6 +1,8 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geocp.rng import CounterStream, derive_seed, mix64, uniform_from_key
+from geocp.rng import CounterStream, derive_seed, mix64, mix64_array, uniform_from_key
 
 
 def test_mix64_deterministic_and_order_sensitive():
@@ -36,3 +38,22 @@ def test_counter_stream_exponential_rate():
     s = CounterStream(9)
     draws = [s.exponential(k, 2.0) for k in range(20000)]
     assert abs(np.mean(draws) - 0.5) < 0.02
+
+
+_U64 = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.lists(st.one_of(_U64, st.sampled_from([0, 2**64 - 1])), min_size=2, max_size=2),
+                min_size=1, max_size=6).map(lambda rows: [list(col) for col in zip(*rows)]),
+       st.integers(min_value=-2**70, max_value=2**70))
+def test_mix64_array_matches_mix64_elementwise(columns, head):
+    """columns[j][r] is key j of element r; `head` is an int key shared by all."""
+    arrays = [np.array(col, dtype=np.uint64) for col in columns]
+    rows = list(zip(*columns))
+    assert mix64_array(*arrays).tolist() == [mix64(*row) for row in rows]
+    # ints (masked to 64 bits) and arrays mix, and a fold continues from a state
+    assert mix64_array(head, *arrays).tolist() == [mix64(head, *row) for row in rows]
+    assert mix64_array(arrays[1], state=mix64_array(head, arrays[0])).tolist() == \
+        [mix64(head, *row) for row in rows]
+    assert mix64_array(head, head).tolist() == [mix64(head, head)]
