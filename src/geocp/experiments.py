@@ -58,27 +58,27 @@ class ExperimentConfig:
             raise ConfigError("[experiment] workers: must be >= 1")
 
 
-def _get(parser, section, key, cast, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}] {key}: required key missing")
-        return default
-    raw = parser.get(section, key)
-    try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        if cast is list:
-            return [float(x) for x in raw.split()]
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from None
+def _section(parser, section, casts: dict) -> dict:
+    """The keys of `section` that the file gives, each cast by `casts`; the
+    runners fill in the defaults."""
+    out = {}
+    if not parser.has_section(section):
+        return out
+    for key, cast in casts.items():
+        if parser.has_option(section, key):
+            raw = parser.get(section, key)
+            try:
+                out[key] = cast(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from None
+    return out
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read the flat sectioned key-value config format.
 
     Sections: [experiment] (kind, seed, workers), [geometry] (n, r, d, b, B),
-    [contact] (lam, t_cap, replicas), [percolation] (dims, p_values, q, ell,
+    [contact] (lam, t_cap, replicas), [percolation] (dims, p_values,
     replicas) and [options] for kind-specific knobs.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -87,37 +87,18 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file {path} not found or unreadable")
     if not parser.has_section("experiment"):
         raise ConfigError("[experiment] section missing")
-    kind = _get(parser, "experiment", "kind", str, required=True)
-    seed = _get(parser, "experiment", "seed", int, required=True)
-    workers = _get(parser, "experiment", "workers", int, default=1)
-    geometry = {}
-    if parser.has_section("geometry"):
-        geometry = {
-            "n": _get(parser, "geometry", "n", float),
-            "r": _get(parser, "geometry", "r", float),
-            "d": _get(parser, "geometry", "d", int, default=2),
-            "b": _get(parser, "geometry", "b", float, default=1.0),
-            "B": _get(parser, "geometry", "B", float, default=1.0),
-        }
-    contact = {}
-    if parser.has_section("contact"):
-        contact = {
-            "lam": _get(parser, "contact", "lam", float),
-            "t_cap": _get(parser, "contact", "t_cap", float),
-            "replicas": _get(parser, "contact", "replicas", int, default=100),
-        }
-    perc = {}
-    if parser.has_section("percolation"):
-        perc = {
-            "dims": [int(x) for x in _get(parser, "percolation", "dims", list, default=[16, 16])],
-            "p_values": _get(parser, "percolation", "p_values", list,
-                             default=[0.45, 0.55, 0.65, 0.75]),
-            "q": _get(parser, "percolation", "q", float, default=0.9),
-            "ell": _get(parser, "percolation", "ell", int, default=8),
-            "replicas": _get(parser, "percolation", "replicas", int, default=50),
-        }
-    options = dict(parser.items("options")) if parser.has_section("options") else {}
-    return ExperimentConfig(kind, seed, workers, geometry, contact, perc, options)
+    head = _section(parser, "experiment", {"kind": str, "seed": int, "workers": int})
+    for key in ("kind", "seed"):
+        if key not in head:
+            raise ConfigError(f"[experiment] {key}: required key missing")
+    return ExperimentConfig(
+        **head,
+        geometry=_section(parser, "geometry", {"n": float, "r": float, "d": int, "b": float, "B": float}),
+        contact=_section(parser, "contact", {"lam": float, "t_cap": float, "replicas": int}),
+        percolation=_section(parser, "percolation",
+                             {"dims": _int_list, "p_values": _float_list, "replicas": int}),
+        options=dict(parser.items("options")) if parser.has_section("options") else {},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +289,19 @@ def _opt(cfg: ExperimentConfig, key: str, cast, default):
         raise ConfigError(f"[options] {key}: cannot parse {raw!r} ({exc})") from None
 
 
+_GEOMETRY_DEFAULTS = {"r": None, "d": 2, "b": 1.0, "B": 1.0}
+
+
+def _geometry(cfg: ExperimentConfig, required: tuple[str, ...], fallback: dict | None = None) -> dict:
+    """[geometry] over _GEOMETRY_DEFAULTS; `fallback` stands in for a missing
+    section, and a given section must name every `required` key."""
+    geo = cfg.geometry or fallback or {}
+    for key in required:
+        if geo.get(key) is None:
+            raise ConfigError(f"[geometry] {key}: required key missing for {cfg.kind}")
+    return {**_GEOMETRY_DEFAULTS, **geo}
+
+
 def _contact_lam(cfg: ExperimentConfig, default: float) -> float:
     """[contact] lam, or `default` when it is not given."""
     lam = cfg.contact.get("lam")
@@ -424,7 +418,7 @@ def _run_percolation_sweep(cfg: ExperimentConfig, workers: int) -> ResultTable:
 
 
 def _run_embedding(cfg: ExperimentConfig, workers: int) -> ResultTable:
-    geo = cfg.geometry or {"n": 10_000.0, "r": None, "d": 2, "b": 1.0, "B": 1.0}
+    geo = _geometry(cfg, ("n",), {"n": 10_000.0})
     r_values = _opt(cfg, "r_pow_d_values", _float_list, [50.0, 100.0, 200.0])
     per_cell = _opt(cfg, "seeds_per_cell", int, 20)
     cells = [(geo, float(rv), idx, mix64(cfg.seed, int(rv * 1000)))
@@ -445,7 +439,7 @@ def _run_embedding(cfg: ExperimentConfig, workers: int) -> ResultTable:
 
 
 def _run_d1(cfg: ExperimentConfig, workers: int) -> ResultTable:
-    geo = cfg.geometry or {"n": 100_000.0, "r": None, "d": 1, "b": 1.0, "B": 1.0}
+    geo = _geometry(cfg, ("n",), {"n": 100_000.0, "d": 1})
     connect_factor = _opt(cfg, "connect_factor", float, 4.0)
     frag_factor = _opt(cfg, "frag_factor", float, 0.1)
     per_cell = _opt(cfg, "seeds_per_cell", int, 20)
@@ -469,9 +463,7 @@ def _run_d1(cfg: ExperimentConfig, workers: int) -> ResultTable:
 
 
 def _run_rgg_tau(cfg: ExperimentConfig, workers: int) -> ResultTable:
-    geo = cfg.geometry
-    if not geo or geo.get("n") is None or geo.get("r") is None:
-        raise ConfigError("[geometry] n and r are required for rgg-tau")
+    geo = _geometry(cfg, ("n", "r"))
     lam = _contact_lam(cfg, 1.0)
     t_cap = cfg.contact.get("t_cap")
     replicas = cfg.contact.get("replicas", 100)

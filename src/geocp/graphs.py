@@ -163,41 +163,54 @@ def build_caterpillar(spec: CaterpillarSpec) -> CaterpillarGraph:
     return CaterpillarGraph(g, spine, tuple(cliques))
 
 
+def _bfs(adjacency, sources: Iterable, blocked=(), targets=()):
+    """Breadth-first search of `adjacency` (neighbor lists indexed by vertex)
+    from `sources`, never entering a `blocked` vertex.
+
+    Returns (parent, hit): `parent` maps every reached vertex to its
+    predecessor (None for a source) in visit order, and `hit` is the first
+    vertex of `targets` dequeued, where the search stops (None if none is).
+    """
+    parent = dict.fromkeys(s for s in sources if s not in blocked)
+    queue = deque(parent)
+    while queue:
+        v = queue.popleft()
+        if v in targets:
+            return parent, v
+        for w in adjacency[v]:
+            if w not in parent and w not in blocked:
+                parent[w] = v
+                queue.append(w)
+    return parent, None
+
+
+def _depths(parent: dict) -> dict:
+    """BFS depth of every vertex of a `_bfs` parent map."""
+    depth = {}
+    for v, u in parent.items():
+        depth[v] = 0 if u is None else depth[u] + 1
+    return depth
+
+
+def _components(adjacency) -> list[list[int]]:
+    """Vertex lists of the connected components of vertices 0..n-1, largest
+    first, ties broken by smallest vertex id."""
+    seen: set[int] = set()
+    comps = []
+    for s in range(len(adjacency)):
+        if s not in seen:
+            comps.append(list(_bfs(adjacency, [s])[0]))
+            seen.update(comps[-1])
+    comps.sort(key=len, reverse=True)  # stable: equal sizes stay by smallest id
+    return comps
+
+
 def connected_components(g: Graph) -> list[set[int]]:
     """Vertex sets of the connected components, largest first.
 
     Ties broken by smallest contained vertex id, so output is deterministic.
     """
-    seen = [False] * g.vertex_count
-    comps: list[set[int]] = []
-    for s in range(g.vertex_count):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(comp)
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    return comps
-
-
-def _bfs_depths(g: Graph, source: int, allowed: set[int]) -> dict[int, int]:
-    depth = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if w in allowed and w not in depth:
-                depth[w] = depth[v] + 1
-                queue.append(w)
-    return depth
+    return [set(c) for c in _components(g.adjacency)]
 
 
 def diameter(g: Graph, component: Iterable[int], exact: bool = True) -> int:
@@ -209,19 +222,19 @@ def diameter(g: Graph, component: Iterable[int], exact: bool = True) -> int:
     comp = set(component)
     if not comp:
         raise ValueError("component must be non-empty")
-    start = min(comp)
-    depths = _bfs_depths(g, start, comp)
-    if set(depths) != comp:
+    sub = {v: [w for w in g.adjacency[v] if w in comp] for v in comp}
+
+    def depths(source: int) -> dict:
+        return _depths(_bfs(sub, [source])[0])
+
+    first = depths(min(comp))
+    if len(first) != len(comp):
         raise ValueError("component is not connected")
-    far = max(depths, key=lambda v: (depths[v], v))
-    second = _bfs_depths(g, far, comp)
-    lower = max(second.values())
+    far = max(first, key=lambda v: (first[v], v))
+    lower = max(depths(far).values())
     if not exact:
         return lower
-    best = lower
-    for v in comp:
-        best = max(best, max(_bfs_depths(g, v, comp).values()))
-    return best
+    return max(max(depths(v).values()) for v in comp)
 
 
 def random_connected_graph(vertex_count: int, extra_edges: int, seed: int) -> Graph:

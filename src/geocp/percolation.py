@@ -10,23 +10,33 @@ Conventions used throughout:
   (i +/- 1, k + 1) and are counter-based hashes of (seed, i, k, direction),
   so runs with different retention probabilities or initial sets share one
   arrow field;
+* every breadth-first search (open clusters, crossings, far sites, the
+  gluing routes) is `graphs._bfs` over an adjacency of the open sites:
+  local ids from `_open_adjacency`, or site tuples from `_site_adjacency`,
+  with neighbors listed in axis order, lower side first;
+* the long-path polish keeps its path in a plain list, so a Posa rotation
+  is a slice reversal and a head's rotation candidates are found with
+  list.index, in adjacency order;
 * every oriented-percolation run steps through `_op_step`, which hashes a
   whole step's arrows at once for any number of replicas; replica r of a
   batch runs on the field of derive_seed(seed, r), so it is exactly the
   single run `op_run` with that seed.  Only the site grids draw from a
-  numpy Generator.
+  numpy Generator;
+* the exact oriented-percolation routes (`op_exact_survival`,
+  `op_extinction_profile_exact`) share one budget of _EXACT_EVEN_SITES = 10
+  even sites, i.e. ell <= 19.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError
+from .graphs import _bfs, _components, _depths
 from .rng import TAG_ARROW, TAG_REPLICA, TAG_SITE, mix64, mix64_array, uniform_from_key
 
 # ---------------------------------------------------------------------------
@@ -98,89 +108,26 @@ def _open_adjacency(open_arr: np.ndarray):
     return flat_open, adj
 
 
-def _open_components(adj: list[list[int]]) -> list[list[int]]:
-    n = len(adj)
-    seen = bytearray(n)
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = 1
-        comp = [s]
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(comp)
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    return comps
+def _site_adjacency(open_arr: np.ndarray) -> dict:
+    """`_open_adjacency` keyed by site coordinate tuples."""
+    _, adj = _open_adjacency(open_arr)
+    sites = list(map(tuple, np.argwhere(open_arr).tolist()))
+    return {site: [sites[w] for w in nbrs] for site, nbrs in zip(sites, adj)}
 
 
 def _bfs_far(adj, start) -> int:
-    """Local id of a site at maximal BFS distance from start."""
-    dist = {start: 0}
-    queue = deque([start])
-    far = start
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                if (dist[w], -w) > (dist[far], -far):
-                    far = w
-                queue.append(w)
-    return far
+    """Local id of a site at maximal BFS distance from start, the smallest
+    such id on ties."""
+    depth = _depths(_bfs(adj, [start])[0])
+    return max(depth, key=lambda v: (depth[v], -v))
 
 
-class _RotatingPath:
-    """Simple path with O(suffix) pivot rotations (Posa moves).
-
-    A rotation picks a path vertex v adjacent to the head and reverses the
-    segment after v, which turns v's successor into the new head; repeated
-    rotations expose new extendable heads after the greedy walk gets stuck.
-    """
-
-    def __init__(self, start: int, n_sites: int):
-        self.path = [start]
-        self.pos = {start: 0}
-        self.visited = bytearray(n_sites)
-        self.visited[start] = 1
-
-    def append(self, v: int) -> None:
-        self.pos[v] = len(self.path)
-        self.path.append(v)
-        self.visited[v] = 1
-
-    def reverse(self) -> None:
-        self.path.reverse()
-        n = len(self.path) - 1
-        for v, i in self.pos.items():
-            self.pos[v] = n - i
-
-    def rotate(self, i: int) -> None:
-        self.path[i + 1:] = self.path[i + 1:][::-1]
-        for j in range(i + 1, len(self.path)):
-            self.pos[self.path[j]] = j
-
-    def pop_burn(self) -> None:
-        # drop the head but keep it marked visited: a burned dead end is
-        # never re-entered, so the path stays simple
-        v = self.path.pop()
-        del self.pos[v]
-
-
-def _greedy_extend_rp(rp: _RotatingPath, adj) -> int:
+def _greedy_extend(path: list[int], visited: bytearray, on_path: bytearray, adj) -> int:
     added = 0
-    visited = rp.visited
     while True:
-        head = rp.path[-1]
         best = -1
         best_key = None
-        for w in adj[head]:
+        for w in adj[path[-1]]:
             if visited[w]:
                 continue
             deg = sum(1 for u in adj[w] if not visited[u])
@@ -190,7 +137,8 @@ def _greedy_extend_rp(rp: _RotatingPath, adj) -> int:
                 best = w
         if best < 0:
             return added
-        rp.append(best)
+        path.append(best)
+        visited[best] = on_path[best] = 1
         added += 1
 
 
@@ -230,39 +178,42 @@ def _dfs_deep_path(adj, start: int, descending: bool) -> list[int]:
     return path
 
 
-def _polish(rp: _RotatingPath, adj, salt: int, failure_budget: int,
+def _polish(path: list[int], adj, n_sites: int, salt: int, failure_budget: int,
             max_steps: int) -> list[int]:
-    """Extend both ends greedily, re-pointing stuck heads with random Posa
-    rotations and burning hopeless pendant heads; returns the best path
-    seen within the budgets."""
-    best = list(rp.path)
+    """Extend both ends of the simple path greedily, re-pointing stuck heads
+    with random Posa rotations and burning hopeless pendant heads; returns
+    the best path seen within the budgets.
+
+    A rotation picks a path vertex v adjacent to the head and reverses the
+    segment after v, which turns v's successor into the new head.  A burned
+    head leaves the path but stays visited, so it is never re-entered.
+    """
+    visited = bytearray(n_sites)
+    on_path = bytearray(n_sites)
+    for v in path:
+        visited[v] = on_path[v] = 1
+    best = list(path)
     steps = 0
     failures = 0
     while steps < max_steps and failures < failure_budget:
         steps += 1
         if steps % 2 == 0:
-            rp.reverse()
-        if _greedy_extend_rp(rp, adj):
+            path.reverse()
+        if _greedy_extend(path, visited, on_path, adj):
             failures = 0
-            if len(rp.path) > len(best):
-                best = list(rp.path)
+            if len(path) > len(best):
+                best = list(path)
             continue
-        head = rp.path[-1]
-        limit = len(rp.path) - 2
-        cands = [rp.pos[v] for v in adj[head] if rp.pos.get(v, limit) < limit]
+        # pivots: the head's path neighbors other than its predecessor
+        pred = path[-2] if len(path) > 1 else -1
+        cands = [path.index(v) for v in adj[path[-1]] if on_path[v] and v != pred]
         failures += 1
         if cands:
-            rp.rotate(cands[mix64(salt, steps) % len(cands)])
-        elif len(rp.path) > 1:
-            rp.pop_burn()
+            i = cands[mix64(salt, steps) % len(cands)]
+            path[i + 1:] = path[:i:-1]
+        elif len(path) > 1:
+            on_path[path.pop()] = 0
     return best
-
-
-def _rp_from_path(path: list[int], n_sites: int) -> _RotatingPath:
-    rp = _RotatingPath(path[0], n_sites)
-    for v in path[1:]:
-        rp.append(v)
-    return rp
 
 
 def _grow_from(start: int, adj, n_sites: int, salt: int = 0,
@@ -274,8 +225,8 @@ def _grow_from(start: int, adj, n_sites: int, salt: int = 0,
         first = _dfs_deep_path(adj, start, descending)
         second = _dfs_deep_path(adj, first[-1], descending)
         seedpath = second if len(second) > len(first) else first
-        polished = _polish(_rp_from_path(seedpath, n_sites), adj,
-                           mix64(salt, descending), failure_budget, max_steps)
+        polished = _polish(seedpath, adj, n_sites, mix64(salt, descending),
+                           failure_budget, max_steps)
         if len(polished) > len(best):
             best = polished
     return best
@@ -292,8 +243,7 @@ def find_long_open_path(grid: SiteGrid) -> list[tuple[int, ...]]:
     flat_open, adj = _open_adjacency(grid.open)
     if flat_open.size == 0:
         return []
-    comps = _open_components(adj)
-    comp = comps[0]
+    comp = _components(adj)[0]
     f1 = _bfs_far(adj, min(comp))
     f2 = _bfs_far(adj, f1)
     candidates = [f1, f2]
@@ -309,8 +259,8 @@ def find_long_open_path(grid: SiteGrid) -> list[tuple[int, ...]]:
         path = _grow_from(s, adj, flat_open.size, salt=si)
         if len(path) > len(best):
             best = path
-    dims = grid.dims
-    return [tuple(int(x) for x in np.unravel_index(int(flat_open[v]), dims)) for v in best]
+    sites = np.argwhere(grid.open).tolist()
+    return [tuple(sites[v]) for v in best]
 
 
 def path_is_valid(grid: SiteGrid, path: Sequence[tuple[int, ...]]) -> bool:
@@ -392,56 +342,24 @@ def longest_open_path_exact(grid: SiteGrid, budget: int = 36) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_path_2d(open2d: np.ndarray, blocked: set, sources: Iterable[tuple[int, int]],
-                 is_target) -> list[tuple[int, int]] | None:
-    """Shortest open path in a 2-d slice from any source to any target site."""
-    h, w = open2d.shape
-    prev: dict[tuple[int, int], tuple[int, int] | None] = {}
-    queue = deque()
-    for s in sources:
-        if open2d[s] and s not in blocked and s not in prev:
-            prev[s] = None
-            queue.append(s)
-    while queue:
-        v = queue.popleft()
-        if is_target(v):
-            out = [v]
-            while prev[out[-1]] is not None:
-                out.append(prev[out[-1]])
-            out.reverse()
-            return out
-        y, x = v
-        for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-            nv = (ny, nx)
-            if 0 <= ny < h and 0 <= nx < w and open2d[nv] and nv not in blocked and nv not in prev:
-                prev[nv] = v
-                queue.append(nv)
-    return None
+def _route(adj: dict, sources, targets, blocked=()) -> list | None:
+    """Shortest route through `adj` from any source to any target site."""
+    parent, hit = _bfs(adj, sources, blocked, targets)
+    if hit is None:
+        return None
+    route = [hit]
+    while parent[route[-1]] is not None:
+        route.append(parent[route[-1]])
+    return route[::-1]
 
 
 def has_crossing(grid: SiteGrid, axis: int = 0) -> bool:
     """True when an open path joins the two opposite faces along `axis`."""
-    flat_open, adj = _open_adjacency(grid.open)
-    if flat_open.size == 0:
-        return False
-    dims = grid.dims
-    coords = np.array(np.unravel_index(flat_open, dims)).T
-    sources = np.nonzero(coords[:, axis] == 0)[0]
-    targets = set(np.nonzero(coords[:, axis] == dims[axis] - 1)[0].tolist())
-    seen = bytearray(flat_open.size)
-    queue = deque()
-    for s in sources.tolist():
-        seen[s] = 1
-        queue.append(s)
-    while queue:
-        v = queue.popleft()
-        if v in targets:
-            return True
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = 1
-                queue.append(w)
-    return False
+    _, adj = _open_adjacency(grid.open)
+    along = np.argwhere(grid.open)[:, axis]
+    sources = np.flatnonzero(along == 0).tolist()
+    targets = set(np.flatnonzero(along == grid.dims[axis] - 1).tolist())
+    return _bfs(adj, sources, targets=targets)[1] is not None
 
 
 def crossing_frequency(dims: Sequence[int], p: float, replicas: int, seed: int,
@@ -486,21 +404,24 @@ def _plane_heuristic_path(open2d: np.ndarray, rows: slice, cols: slice):
 def _band_crossing(open2d: np.ndarray, rows: tuple[int, int], spans_cols: bool):
     """Open crossing inside the row band; either spanning all columns or
     spanning the band's rows."""
-    h, w = open2d.shape
+    w = open2d.shape[1]
     lo, hi = rows
     band = np.zeros_like(open2d)
     band[lo:hi + 1, :] = open2d[lo:hi + 1, :]
+    adj = _site_adjacency(band)
     if spans_cols:
         sources = [(y, 0) for y in range(lo, hi + 1)]
-        return _bfs_path_2d(band, set(), sources, lambda v: v[1] == w - 1)
-    sources = [(lo, x) for x in range(w)]
-    return _bfs_path_2d(band, set(), sources, lambda v: v[0] == hi)
+        targets = {(y, w - 1) for y in range(lo, hi + 1)}
+    else:
+        sources = [(lo, x) for x in range(w)]
+        targets = {(hi, x) for x in range(w)}
+    return _route(adj, [s for s in sources if s in adj], targets)
 
 
-def _route_within_plane(open2d: np.ndarray, entry, exit_site, lam_path):
-    """Simple route entry -> exit inside one plane, traversing `lam_path`
-    when the stitching succeeds; falls back to a direct path.  Returns
-    (route, traversed_lam)."""
+def _route_within_plane(adj: dict, entry, exit_site, lam_path):
+    """Simple route entry -> exit through the plane's open sites `adj`,
+    traversing `lam_path` when the stitching succeeds; falls back to a
+    direct path.  Returns (route, traversed_lam); a route is never empty."""
     if lam_path:
         for lam in (lam_path, lam_path[::-1]):
             blocked = set(lam[1:])
@@ -509,7 +430,7 @@ def _route_within_plane(open2d: np.ndarray, entry, exit_site, lam_path):
             elif entry in blocked or entry == lam[0]:
                 leg1 = [lam[0]] if entry == lam[0] else None
             else:
-                leg1 = _bfs_path_2d(open2d, blocked - {lam[0]}, [entry], lambda v: v == lam[0])
+                leg1 = _route(adj, [entry], {lam[0]}, blocked - {lam[0]})
             if leg1 is None:
                 continue
             used = set(leg1) | set(lam)
@@ -520,7 +441,7 @@ def _route_within_plane(open2d: np.ndarray, entry, exit_site, lam_path):
                 continue
             if exit_site == lam[-1]:
                 return route, True
-            leg2 = _bfs_path_2d(open2d, used - {lam[-1]}, [lam[-1]], lambda v: v == exit_site)
+            leg2 = _route(adj, [lam[-1]], {exit_site}, used - {lam[-1]})
             if leg2 is None:
                 continue
             return route + leg2[1:], True
@@ -528,14 +449,9 @@ def _route_within_plane(open2d: np.ndarray, entry, exit_site, lam_path):
         return None, False
     if entry is None:
         return [exit_site], False
-    if exit_site is None:
+    if exit_site is None or entry == exit_site:
         return [entry], False
-    if entry == exit_site:
-        return [entry], False
-    direct = _bfs_path_2d(open2d, set(), [entry], lambda v: v == exit_site)
-    if direct is None:
-        return None, False
-    return direct, False
+    return _route(adj, [entry], {exit_site}), False
 
 
 def glue_plane_paths(grid: SiteGrid, m: int, m1: int) -> GluedPath:
@@ -592,34 +508,22 @@ def glue_plane_paths(grid: SiteGrid, m: int, m1: int) -> GluedPath:
     nice_traversed = 0
     min_len = 0
     for i in range(planes):
-        plane = grid.open[i]
         lam = lam_paths[i] if len(lam_paths[i]) >= min_lam else []
-        last = i == planes - 1
         exit_site = None
         next_side = side
-        if not last:
-            if lam:
-                other = "R" if side == "L" else "L"
-                if jumps[other][i] is not None:
-                    exit_site = jumps[other][i]
-                    next_side = other
-                elif jumps[side][i] is not None:
-                    exit_site = jumps[side][i]
+        if i < planes - 1:
+            # a nice plane switches bands when it can; any plane slides
+            # along its band, or else switches
+            other = "R" if side == "L" else "L"
+            if lam and jumps[other][i] is not None:
+                exit_site = jumps[other][i]
+                next_side = other
             elif jumps[side][i] is not None:
                 exit_site = jumps[side][i]
-            elif jumps["R" if side == "L" else "L"][i] is not None:
-                next_side = "R" if side == "L" else "L"
-                exit_site = jumps[next_side][i]
-            if exit_site is None:
-                route, traversed = _route_within_plane(plane, entry, None, lam)
-                if route:
-                    total.extend((i, y, x) for y, x in route)
-                    chained += 1
-                    if traversed:
-                        nice_traversed += 1
-                        min_len = min(min_len, len(lam)) if min_len else len(lam)
-                break
-        route, traversed = _route_within_plane(plane, entry, exit_site, lam)
+            elif jumps[other][i] is not None:
+                exit_site = jumps[other][i]
+                next_side = other
+        route, traversed = _route_within_plane(_site_adjacency(grid.open[i]), entry, exit_site, lam)
         if route is None:
             break
         total.extend((i, y, x) for y, x in route)
@@ -627,7 +531,7 @@ def glue_plane_paths(grid: SiteGrid, m: int, m1: int) -> GluedPath:
         if traversed:
             nice_traversed += 1
             min_len = min(min_len, len(lam)) if min_len else len(lam)
-        if last:
+        if exit_site is None:
             break
         side = next_side
         entry = exit_site
@@ -777,18 +681,31 @@ def op_first_passage(ell: int, q: float, seed: int) -> FirstPassage:
     return FirstPassage(t, False)
 
 
+# the exact OP routes work on occupancy subsets of each parity class, so
+# their matrices have side up to 2^_EXACT_EVEN_SITES
+_EXACT_EVEN_SITES = 10
+
+
+def _exact_classes(ell: int) -> tuple[list[int], list[int]]:
+    """The even and the odd sites of [0, ell], within the exact budget."""
+    evens = list(range(0, ell + 1, 2))
+    if len(evens) > _EXACT_EVEN_SITES:
+        raise BudgetExceededError(
+            f"{len(evens)} even sites exceed the exact budget of {_EXACT_EVEN_SITES}")
+    return evens, list(range(1, ell + 1, 2))
+
+
 def op_exact_survival(ell: int, q: float, t: int, initial: Iterable[int]) -> float:
     """Exact P(eta_t != empty): the start distribution over occupancy
     subsets of the even sites, carried through the class transfer matrices
-    (even -> odd, then odd -> even, alternately).
+    (even -> odd, then odd -> even, alternately), one vector-matrix product
+    per step.
 
-    Budget: ell <= 4 and t <= 8.
+    Budget: at most _EXACT_EVEN_SITES = 10 even sites (ell <= 19), and
+    any t.
     """
     init = _check_op(ell, q, t, initial)
-    if ell > 4 or t > 8:
-        raise BudgetExceededError("exact survival budget is ell <= 4, t <= 8")
-    evens = list(range(0, ell + 1, 2))
-    odds = list(range(1, ell + 1, 2))
+    evens, odds = _exact_classes(ell)
     steps = (_class_transition(evens, odds, q), _class_transition(odds, evens, q))
     dist = np.zeros(1 << len(evens))
     dist[sum(1 << b for b, i in enumerate(evens) if i in init)] = 1.0
@@ -936,7 +853,7 @@ def _gth_last_mean(M: np.ndarray, exits: np.ndarray, reward: np.ndarray) -> floa
     return float(reward[-1] / exits[-1])
 
 
-def op_extinction_profile_exact(ell: int, q: float, budget_sites: int = 10) -> OPExtinctionProfile:
+def op_extinction_profile_exact(ell: int, q: float) -> OPExtinctionProfile:
     """Exact mean and median extinction step from the full even start.
 
     Works on the two-step transfer matrix of the even-step states; the mean
@@ -945,15 +862,13 @@ def op_extinction_profile_exact(ell: int, q: float, budget_sites: int = 10) -> O
     1e16+ steps.  The median comes from the spectral form of the
     survival function where doubles can resolve it, and otherwise from the
     asymptotically exact single-slow-mode value mean*log(2).
-    Budget: at most `budget_sites` even sites (matrix side 2^sites).
+    Budget: at most _EXACT_EVEN_SITES = 10 even sites (ell <= 19; the
+    matrix side is 2^sites).
     """
     _check_op(ell, q, 0)
     if q == 1.0:
         return OPExtinctionProfile(math.inf, math.inf)
-    evens = list(range(0, ell + 1, 2))
-    odds = list(range(1, ell + 1, 2))
-    if len(evens) > budget_sites:
-        raise BudgetExceededError(f"{len(evens)} even sites exceed budget {budget_sites}")
+    evens, odds = _exact_classes(ell)
     A = _class_transition(evens, odds, q)
     B = _class_transition(odds, evens, q)
     AB = A @ B

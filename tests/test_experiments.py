@@ -115,6 +115,27 @@ def test_oracle_battery_small():
     assert all(abs(r[7]) < 5 for r in table.rows)
 
 
+def test_config_defaults_live_in_the_runners(tmp_path):
+    # an absent key takes the runner's default whether or not its section exists
+    head = "[experiment]\nkind = oracle-battery\nseed = 5\n"
+    opts = "[options]\ngraphs = 1\nlams = 0.5\nmean_cap = 150\n"
+    tables = []
+    for contact in ("", "[contact]\nt_cap = 100\n"):
+        path = tmp_path / "battery.cfg"
+        path.write_text(head + contact + opts)
+        tables.append(run_experiment(parse_config(path)))
+    assert [t.summary["replicas"] for t in tables] == [10_000, 10_000]
+    assert tables[0].rows == tables[1].rows
+
+
+@pytest.mark.parametrize("kind", ["embedding", "d1-regimes", "rgg-tau"])
+def test_geometry_section_without_n_is_a_config_error(tmp_path, kind):
+    path = tmp_path / "geo.cfg"
+    path.write_text(f"[experiment]\nkind = {kind}\nseed = 1\n\n[geometry]\nd = 2\nr = 1.5\n")
+    with pytest.raises(ConfigError, match=r"\[geometry\] n: required"):
+        run_experiment(parse_config(path))
+
+
 def test_rgg_tau_runs_and_reports_censoring(tmp_path):
     cfg = ExperimentConfig("rgg-tau", 13,
                            geometry={"n": 150.0, "r": 1.5, "d": 2, "b": 1.0, "B": 1.0},

@@ -62,10 +62,27 @@ def test_ell_zero_no_arrows():
 
 
 def test_exact_survival_budget():
-    with pytest.raises(BudgetExceededError):
-        op_exact_survival(5, 0.5, 2, {0})
-    with pytest.raises(BudgetExceededError):
-        op_exact_survival(3, 0.5, 9, {0})
+    # one budget for both exact routes: 10 even sites (ell <= 19), any horizon
+    for ell in (20, 21):
+        with pytest.raises(BudgetExceededError):
+            op_exact_survival(ell, 0.5, 2, {0})
+        with pytest.raises(BudgetExceededError):
+            op_extinction_profile_exact(ell, 0.5)
+    assert op_exact_survival(18, 0.95, 1, {0}) == pytest.approx(0.95, abs=1e-15)
+    assert 0.0 < op_exact_survival(3, 0.5, 9, {0}) < 1.0
+
+
+def test_exact_survival_sums_to_the_exact_mean():
+    # E[extinction step] = sum over t >= 0 of P(eta_t != empty), so the two
+    # exact routes must agree; the tail left out is below 1e-13 per term and
+    # decays geometrically
+    full = full_interval_initial(8)
+    total, t = 0.0, 0
+    while (s := op_exact_survival(8, 0.5, t, full)) >= 1e-13:
+        total += s
+        t += 1
+    assert 150 < t < 250
+    assert total == pytest.approx(op_extinction_profile_exact(8, 0.5).mean_steps, rel=1e-10)
 
 
 def test_exact_survival_q_degenerate():

@@ -1,13 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from geocp.errors import BudgetExceededError
+from geocp.graphs import (CaterpillarSpec, Graph, build_caterpillar, build_complete,
+                          connected_components, diameter, random_connected_graph)
 from geocp.percolation import (SiteGrid, crossing_frequency, find_long_open_path,
                                glue_plane_paths, grid_from_field,
                                has_crossing, longest_open_path_exact, path_is_valid,
                                path_to_text, sample_site_grid, sample_uniform_field)
+from geocp.rgg import GeometryConfig, find_caterpillar_embedding, sample_poisson_points
 
 
 def test_site_grid_degenerate_p():
@@ -118,3 +122,65 @@ def test_text_dumps():
     path = find_long_open_path(grid)
     text = path_to_text(path)
     assert len(text.strip().splitlines()) == len(path)
+
+
+def _digest(values) -> str:
+    h = hashlib.sha256()
+    for v in values:
+        h.update(repr(v).encode() + b"\n")
+    return h.hexdigest()[:16]
+
+
+def test_site_percolation_golden():
+    """Digests of every lattice and graph traversal, recorded from the
+    per-routine breadth-first searches and the position-dict Posa path that
+    the shared `_bfs` and the plain-list path replaced."""
+    path_cells = ([((4, 4), 0.5, s) for s in range(4)]
+                  + [((10, 10), 0.55, 1), ((16, 16), 0.6, 2), ((24, 24), 0.65, 3),
+                     ((32, 32), 0.7, 4), ((12, 30), 0.6, 5), ((128, 128), 0.75, 6),
+                     ((1, 1), 1.0, 0), ((3, 5), 1.0, 0), ((8, 8), 1.0, 0), ((9,), 1.0, 0),
+                     ((6, 6, 6), 0.5, 7), ((8, 8, 8), 0.35, 8), ((10, 10, 10), 0.4, 9),
+                     ((5, 5, 5), 1.0, 0), ((4, 6, 8), 0.6, 10), ((3, 3, 3, 3), 0.6, 11)])
+    paths = [find_long_open_path(sample_site_grid(d, p, s)) for d, p, s in path_cells]
+    # the 8^3 cells reach every branch of the plane router and of the exit
+    # choice; (4, 6, 6) falls back, and the 4-d grid glues its first three axes
+    glue_cells = [((12, 12, 12), 1.0, 0, 2, 2), ((8, 8, 8), 0.45, 500, 1, 1),
+                  ((8, 8, 8), 0.55, 500, 1, 6), ((8, 8, 8), 0.65, 501, 1, 1),
+                  ((8, 8, 8), 0.65, 503, 1, 1), ((8, 8, 8), 0.75, 502, 1, 1),
+                  ((8, 8, 8), 0.75, 507, 1, 1), ((4, 6, 6), 0.9, 1, 3, 2),
+                  ((10, 12, 12, 2), 0.9, 15, 2, 2)]
+    glued = [glue_plane_paths(sample_site_grid(d, p, s), m, m1) for d, p, s, m, m1 in glue_cells]
+    crossings = []
+    for s in range(100):
+        dims = (12, 12) if s % 2 else (6, 7, 5)
+        grid = sample_site_grid(dims, 0.35 + 0.005 * s, 100 + s)
+        crossings.append(tuple(has_crossing(grid, axis) for axis in range(len(dims))))
+    embeddings = []
+    for n, r, d, seed in ((3000.0, 10.0, 2, 21), (2000.0, 5.5, 3, 22)):
+        cfg = GeometryConfig(n, r, d)
+        emb = find_caterpillar_embedding(sample_poisson_points(cfg, seed), cfg)
+        embeddings.append((emb.box_path, emb.blocks, emb.spine))
+    graphs = [build_caterpillar(CaterpillarSpec(4, 3)).graph, build_complete(5), Graph.from_edges(0, []),
+              Graph.from_edges(7, [(0, 1), (2, 3), (3, 4), (5, 6), (6, 2)]),
+              Graph.from_edges(7, [(4, 5), (0, 3), (1, 2), (5, 6), (6, 4)])]
+    # the double sweep gives 4 on random_connected_graph(10, 2, 5), whose
+    # diameter is 6
+    graphs += [random_connected_graph(9 + k, k, 30 + k) for k in range(4)]
+    graphs.append(random_connected_graph(10, 2, 5))
+    structure = []
+    for g in graphs:
+        comps = connected_components(g)
+        structure.append([sorted(c) for c in comps])
+        structure.append([(diameter(g, c), diameter(g, c, exact=False)) for c in comps])
+    record = {"path_lengths": [len(p) for p in paths], "paths": _digest(paths),
+              "glued": _digest(glued), "crossings": _digest(crossings),
+              "embeddings": _digest(embeddings), "structure": _digest(structure)}
+    assert record == {
+        "path_lengths": [4, 3, 4, 5, 16, 75, 140, 470, 96, 8348, 1, 15, 64, 9,
+                         73, 40, 162, 125, 111, 39],
+        "paths": "812a571bd64c9c90",
+        "glued": "de87aa3ec3e65a6f",
+        "crossings": "a45cca34f2de991b",
+        "embeddings": "c4ce3e0eaab24d8b",
+        "structure": "fe9052a9a636897f",
+    }
