@@ -74,7 +74,6 @@ class TauSample:
     tau: float
     censored: bool
     seed: int
-    graph_fingerprint: str
 
     def __post_init__(self):
         if self.censored and not math.isfinite(self.tau):
@@ -242,8 +241,7 @@ def simulate_extinction(g: Graph, cfg: ContactConfig, initial: Iterable[int] | N
     is this run with cfg.seed = replica_seed(master, i).
     """
     tau, censored, _ = _replica(g, cfg, initial)
-    return TauSample(float(tau), bool(censored), cfg.seed,
-                     g.fingerprint() if g.vertex_count else "empty")
+    return TauSample(float(tau), bool(censored), cfg.seed)
 
 
 def _replica(g: Graph, cfg: ContactConfig, initial: Iterable[int] | None,
@@ -500,19 +498,18 @@ def birth_death_clique_simulate(m: int, lam: float, initial_count: int, seed: in
     rng = np.random.default_rng(mix64(seed, TAG_CONTACT, 0x4244))
     k = initial_count
     t = 0.0
-    fp = f"clique:{m}"
     while k > 0:
         up = lam * k * (m - k)
         total = up + k
         dt = rng.exponential(1.0 / total)
         if t_cap is not None and t + dt > t_cap:
-            return TauSample(t_cap, True, seed, fp)
+            return TauSample(t_cap, True, seed)
         t += dt
         if rng.random() * total < up:
             k += 1
         else:
             k -= 1
-    return TauSample(t, False, seed, fp)
+    return TauSample(t, False, seed)
 
 
 def lit_snapshots(cat: CaterpillarGraph, cfg: ContactConfig, cadence: float | None = None,

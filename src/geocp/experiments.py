@@ -410,7 +410,7 @@ def _run_percolation_sweep(cfg: ExperimentConfig, workers: int) -> ResultTable:
     threshold = None
     for (p0, f0, _), (p1, f1, _) in zip(results, results[1:]):
         if f0 < 0.5 <= f1:
-            threshold = p0 + (0.5 - f0) * (p1 - p0) / (f1 - f0) if f1 > f0 else p1
+            threshold = p0 + (0.5 - f0) * (p1 - p0) / (f1 - f0)
             break
     summary = {"kind": cfg.kind, "seed": cfg.seed, "dims": list(dims), "replicas": replicas,
                "crossing_threshold_estimate": threshold}

@@ -90,7 +90,7 @@ class Graph:
                     raise ValueError(f"asymmetric edge ({v},{w})")
 
     def fingerprint(self) -> str:
-        """Stable short digest of the edge list (used to tag samples)."""
+        """Stable short digest of the edge list."""
         return hashlib.sha256(to_edge_list_text(self).encode()).hexdigest()[:12]
 
 

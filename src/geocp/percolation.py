@@ -23,8 +23,11 @@ Conventions used throughout:
   single run `op_run` with that seed.  Only the site grids draw from a
   numpy Generator;
 * the exact oriented-percolation routes (`op_exact_survival`,
-  `op_extinction_profile_exact`) share one budget of _EXACT_EVEN_SITES = 10
-  even sites, i.e. ell <= 19.
+  `op_extinction_profile_exact`) take their class transfer matrices from
+  `_transfer_matrices`, under one budget of _EXACT_EVEN_SITES = 10 even
+  sites, i.e. ell <= 19.  The profile reads its mean (GTH state reduction)
+  and its median (the survival stepped to its quasi-stationary regime,
+  then a geometric tail pinned by that mean) from the same matrices.
 """
 
 from __future__ import annotations
@@ -142,18 +145,17 @@ def _greedy_extend(path: list[int], visited: bytearray, on_path: bytearray, adj)
         added += 1
 
 
-def _dfs_deep_path(adj, start: int, descending: bool) -> list[int]:
-    """Deepest root-to-leaf chain of the depth-first tree from `start`.
+def _dfs_deep_path(order, start: int) -> list[int]:
+    """Deepest root-to-leaf chain of the depth-first tree from `start` that
+    visits the neighbors of v in the order order[v].
 
     Any root-leaf chain of a DFS tree is a simple path in the graph;
     depth-first exploration of grid-like clusters produces snake-like
     trunks whose depth grows linearly with the cluster, which makes this
     the scalable backbone of the heuristic.
     """
-    n = len(adj)
-    parent = [-2] * n
+    parent = [-2] * len(order)
     parent[start] = -1
-    order = [sorted(adj[v], reverse=descending) for v in range(n)]
     iters = {start: iter(order[start])}
     stack = [start]
     deepest, best_depth = start, 1
@@ -216,14 +218,15 @@ def _polish(path: list[int], adj, n_sites: int, salt: int, failure_budget: int,
     return best
 
 
-def _grow_from(start: int, adj, n_sites: int, salt: int = 0,
+def _grow_from(start: int, adj, orders, n_sites: int, salt: int = 0,
                failure_budget: int = 400) -> list[int]:
+    """`orders` holds the neighbor lists sorted ascending, then descending."""
     max_steps = 25 * n_sites + 2000
     best: list[int] = [start]
     # double sweep: deep DFS chain, then a second DFS from its far end
-    for descending in (False, True):
-        first = _dfs_deep_path(adj, start, descending)
-        second = _dfs_deep_path(adj, first[-1], descending)
+    for descending, order in enumerate(orders):
+        first = _dfs_deep_path(order, start)
+        second = _dfs_deep_path(order, first[-1])
         seedpath = second if len(second) > len(first) else first
         polished = _polish(seedpath, adj, n_sites, mix64(salt, descending),
                            failure_budget, max_steps)
@@ -254,9 +257,11 @@ def find_long_open_path(grid: SiteGrid) -> list[tuple[int, ...]]:
     for s in candidates:
         if s not in starts:
             starts.append(s)
+    ascending = [sorted(nbrs) for nbrs in adj]
+    orders = (ascending, [nbrs[::-1] for nbrs in ascending])
     best: list[int] = []
     for si, s in enumerate(starts):
-        path = _grow_from(s, adj, flat_open.size, salt=si)
+        path = _grow_from(s, adj, orders, flat_open.size, salt=si)
         if len(path) > len(best):
             best = path
     sites = np.argwhere(grid.open).tolist()
@@ -362,6 +367,12 @@ def has_crossing(grid: SiteGrid, axis: int = 0) -> bool:
     return _bfs(adj, sources, targets=targets)[1] is not None
 
 
+def _binomial_se(freq: float, trials: int) -> float:
+    """Standard error of a frequency over `trials` Bernoulli trials, floored
+    at its value for one success in `trials` so that 0 and 1 keep an error."""
+    return math.sqrt(max(freq * (1.0 - freq), 1.0 / trials) / trials)
+
+
 def crossing_frequency(dims: Sequence[int], p: float, replicas: int, seed: int,
                        axis: int = 0) -> tuple[float, float]:
     """Monte Carlo crossing probability with its standard error."""
@@ -372,8 +383,7 @@ def crossing_frequency(dims: Sequence[int], p: float, replicas: int, seed: int,
         grid = sample_site_grid(dims, p, mix64(seed, 0x43524F53, r))
         hits += has_crossing(grid, axis)
     f = hits / replicas
-    se = math.sqrt(max(f * (1.0 - f), 1.0 / replicas) / replicas)
-    return f, se
+    return f, _binomial_se(f, replicas)
 
 
 # ---------------------------------------------------------------------------
@@ -686,13 +696,32 @@ def op_first_passage(ell: int, q: float, seed: int) -> FirstPassage:
 _EXACT_EVEN_SITES = 10
 
 
-def _exact_classes(ell: int) -> tuple[list[int], list[int]]:
-    """The even and the odd sites of [0, ell], within the exact budget."""
+def _class_transition(src_sites: list[int], dst_sites: list[int], q: float) -> np.ndarray:
+    """Transition matrix between occupancy subsets of two parity classes.
+
+    T[s, t] is the product, over the destination sites j in ascending
+    order, of p_j(s) when t holds j and 1 - p_j(s) otherwise, where
+    p_j(s) = 1 - (1 - q)^c for the c in {0, 1, 2} parents of j in s.
+    """
+    open_by_parents = np.array([1.0 - (1.0 - q) ** c for c in range(3)])
+    held = np.arange(1 << len(src_sites))[:, None] >> np.arange(len(src_sites)) & 1
+    links = np.abs(np.subtract.outer(src_sites, dst_sites)) == 1
+    p = open_by_parents[held @ links.astype(int)]
+    T = np.ones((len(held), 1))
+    for j in range(len(dst_sites)):  # bit j of the destination index
+        T = np.hstack((T * (1.0 - p[:, j, None]), T * p[:, j, None]))
+    return T
+
+
+def _transfer_matrices(ell: int, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The class transfer matrices of [0, ell]: A from the even sites to the
+    odd ones, B back.  Bit b of a state index is site 2b, resp. 2b + 1."""
     evens = list(range(0, ell + 1, 2))
     if len(evens) > _EXACT_EVEN_SITES:
         raise BudgetExceededError(
             f"{len(evens)} even sites exceed the exact budget of {_EXACT_EVEN_SITES}")
-    return evens, list(range(1, ell + 1, 2))
+    odds = list(range(1, ell + 1, 2))
+    return _class_transition(evens, odds, q), _class_transition(odds, evens, q)
 
 
 def op_exact_survival(ell: int, q: float, t: int, initial: Iterable[int]) -> float:
@@ -705,10 +734,9 @@ def op_exact_survival(ell: int, q: float, t: int, initial: Iterable[int]) -> flo
     any t.
     """
     init = _check_op(ell, q, t, initial)
-    evens, odds = _exact_classes(ell)
-    steps = (_class_transition(evens, odds, q), _class_transition(odds, evens, q))
-    dist = np.zeros(1 << len(evens))
-    dist[sum(1 << b for b, i in enumerate(evens) if i in init)] = 1.0
+    steps = _transfer_matrices(ell, q)
+    dist = np.zeros(len(steps[0]))
+    dist[sum(1 << (i // 2) for i in init)] = 1.0
     for step in range(t):
         dist = dist @ steps[step % 2]
     return 1.0 - float(dist[0])
@@ -745,8 +773,7 @@ def op_survival_frequency(ell: int, q: float, t: int, replicas: int, seed: int,
     init = full_interval_initial(ell) if initial is None else initial
     _, extinct_at = _simulate_batch(ell, q, t, replicas, seed, init)
     freq = float((extinct_at > t).mean())
-    se = math.sqrt(max(freq * (1 - freq), 1.0 / replicas) / replicas)
-    return freq, se
+    return freq, _binomial_se(freq, replicas)
 
 
 @dataclass(frozen=True)
@@ -784,8 +811,8 @@ def op_mid_density_multi(ell: int, q: float, step: int, betas: Sequence[float],
         counts = occ[:, lo_i:hi_i + 1].sum(axis=1)
         hits = int((counts >= threshold).sum())
         est = hits / replicas
-        se = math.sqrt(max(est * (1 - est), 1.0 / replicas) / replicas)
-        out.append(MidDensityEstimate(beta, step, threshold, (lo_i, hi_i), est, se,
+        out.append(MidDensityEstimate(beta, step, threshold, (lo_i, hi_i), est,
+                                      _binomial_se(est, replicas),
                                       wilson_interval(hits, replicas), replicas))
     return out
 
@@ -793,37 +820,6 @@ def op_mid_density_multi(ell: int, q: float, step: int, betas: Sequence[float],
 # ---------------------------------------------------------------------------
 # exact extinction-time profile via class transfer matrices
 # ---------------------------------------------------------------------------
-
-
-def _class_transition(src_sites: list[int], dst_sites: list[int], q: float) -> np.ndarray:
-    """Transition matrix between occupancy subsets of two parity classes."""
-    dst_index = {j: b for b, j in enumerate(dst_sites)}
-    n_src, n_dst = len(src_sites), len(dst_sites)
-    T = np.zeros((1 << n_src, 1 << n_dst))
-    for s_mask in range(1 << n_src):
-        if s_mask == 0:
-            T[0, 0] = 1.0
-            continue
-        occupied = [src_sites[b] for b in range(n_src) if s_mask >> b & 1]
-        parents: dict[int, int] = {}
-        for i in occupied:
-            for j in (i - 1, i + 1):
-                if j in dst_index:
-                    parents[j] = parents.get(j, 0) + 1
-        targets = sorted(parents)
-        p_occ = [1.0 - (1.0 - q) ** parents[j] for j in targets]
-        for mask in range(1 << len(targets)):
-            pr = 1.0
-            t_mask = 0
-            for b, j in enumerate(targets):
-                if mask >> b & 1:
-                    pr *= p_occ[b]
-                    t_mask |= 1 << dst_index[j]
-                else:
-                    pr *= 1.0 - p_occ[b]
-            if pr:
-                T[s_mask, t_mask] += pr
-    return T
 
 
 @dataclass(frozen=True)
@@ -853,65 +849,64 @@ def _gth_last_mean(M: np.ndarray, exits: np.ndarray, reward: np.ndarray) -> floa
     return float(reward[-1] / exits[-1])
 
 
+# L1 change of the conditioned even-step law between two-steps below which
+# the survival tail is taken as geometric; it must exceed the rounding noise
+# of a law over 2^_EXACT_EVEN_SITES - 1 states
+_QUASI_STATIONARY_TOL = 1e-12
+
+
 def op_extinction_profile_exact(ell: int, q: float) -> OPExtinctionProfile:
     """Exact mean and median extinction step from the full even start.
 
-    Works on the two-step transfer matrix of the even-step states; the mean
-    comes from GTH state reduction in doubles (`_gth_last_mean`), which
-    subtracts nothing and so stays exact to rounding when extinction takes
-    1e16+ steps.  The median comes from the spectral form of the
-    survival function where doubles can resolve it, and otherwise from the
-    asymptotically exact single-slow-mode value mean*log(2).
+    Both come from the two-step transfer matrix M of the nonempty even-step
+    states.  The mean comes from GTH state reduction in doubles
+    (`_gth_last_mean`), which subtracts nothing and so stays exact to
+    rounding when extinction takes 1e16+ steps.  The median steps the
+    even-step law v from the full start: the survival is v.sum() at step 2k
+    and v @ a1 at step 2k + 1, where a1 is the chance that the next odd
+    state is nonempty.  Once the conditioned law v / v.sum() stops changing,
+    i.e. has reached the quasi-stationary law, the survival is geometric,
+    and its two-step leak is pinned by the exact mean, which is the sum of
+    the survival over every step; the first steps of the tail at or below
+    1/2 then follow in closed form.  (A leak read off the law or an
+    eigenvalue of M carries an absolute error near 1e-16, which is a large
+    relative one where the leak is small.)
     Budget: at most _EXACT_EVEN_SITES = 10 even sites (ell <= 19; the
     matrix side is 2^sites).
     """
     _check_op(ell, q, 0)
     if q == 1.0:
         return OPExtinctionProfile(math.inf, math.inf)
-    evens, odds = _exact_classes(ell)
-    A = _class_transition(evens, odds, q)
-    B = _class_transition(odds, evens, q)
+    A, B = _transfer_matrices(ell, q)
     AB = A @ B
     M = AB[1:, 1:]
-    a1 = A[1:, 1:].sum(axis=1)  # P(next odd state nonempty | even state)
-    n = M.shape[0]
-    full_idx = n - 1  # the full even state, mask 2^|evens| - 1
+    a1 = A[1:, 1:].sum(axis=1)
     mean_steps = _gth_last_mean(M, AB[1:, 0], 1.0 + a1)
-    # spectral survival in doubles: s(2k) = sum c_j w_j^k, odd steps add one
-    # A factor; fall back to the slow-mode median when doubles cannot see
-    # the decay
-    v0 = np.zeros(n)
-    v0[full_idx] = 1.0
-    w, V = np.linalg.eig(M)
-    asymptotic = mean_steps * math.log(2.0)
-    if 1.0 - np.abs(w).max() < 1e-13:
-        # slow mode below double resolution: the survival function is an
-        # exponential with rate 1/mean up to negligible fast corrections
-        return OPExtinctionProfile(mean_steps, asymptotic)
-    v0V = v0 @ V
-    c_even = v0V * np.linalg.solve(V, np.ones(n))
-    c_odd = v0V * np.linalg.solve(V, a1)
-
-    def survival(step: int) -> float:
-        k, rem = divmod(step, 2)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            powers = np.where(w == 0, 0.0 if k > 0 else 1.0, w.astype(complex) ** k)
-            powers = np.where(np.isfinite(powers), powers, 0.0)
-        c = c_odd if rem else c_even
-        return float(np.real((c * powers).sum()))
-
-    lo, hi = 0, 1
-    while survival(hi) > 0.5:
-        lo, hi = hi, hi * 2
-        if hi > 64 * max(mean_steps, 1.0):
-            return OPExtinctionProfile(mean_steps, asymptotic)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if survival(mid) > 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return OPExtinctionProfile(mean_steps, float(hi))
+    v = np.zeros(len(M))
+    v[-1] = 1.0  # the full even state, mask 2^|evens| - 1
+    law = np.zeros(len(M))
+    passed = 0.0  # the survival summed over the steps before 2k
+    k = 0
+    while True:
+        s_even = float(v.sum())
+        if s_even <= 0.5:
+            return OPExtinctionProfile(mean_steps, float(2 * k))
+        s_odd = float(v @ a1)
+        if s_odd <= 0.5:
+            return OPExtinctionProfile(mean_steps, float(2 * k + 1))
+        law, previous = v / s_even, law
+        if np.abs(law - previous).sum() <= _QUASI_STATIONARY_TOL:
+            break
+        passed += s_even + s_odd
+        v = v @ M
+        k += 1
+    # s(2k + 2m) = s_even (1 - leak)^m and s(2k + 2m + 1) = s_odd (1 - leak)^m,
+    # whose sum over m >= 0 is the mean less the steps already passed
+    leak = (s_even + s_odd) / (mean_steps - passed)
+    decay = math.log1p(-leak)
+    m_even = math.ceil(math.log(0.5 / s_even) / decay)
+    m_odd = math.ceil(math.log(0.5 / s_odd) / decay)
+    return OPExtinctionProfile(mean_steps, float(min(2 * (k + m_even), 2 * (k + m_odd) + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_censoring_contract():
     s = simulate_extinction(build_complete(30), ContactConfig(1.0, t_cap=5.0, seed=2))
     assert s.censored and s.tau == 5.0
     with pytest.raises(ValueError):
-        TauSample(math.inf, True, 0, "x")
+        TauSample(math.inf, True, 0)
 
 
 def test_kernel_engine_oracle_triangle():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from geocp.errors import BudgetExceededError
-from geocp.percolation import (FirstPassage, _simulate_batch, arrow_open, full_interval_initial,
-                               op_exact_survival, op_extinction_profile_exact,
+from geocp.percolation import (FirstPassage, _class_transition, _simulate_batch, arrow_open,
+                               full_interval_initial, op_exact_survival, op_extinction_profile_exact,
                                op_first_passage, op_mid_density_multi, op_run,
                                op_survival_frequency)
 from geocp.rng import derive_seed
@@ -356,3 +357,123 @@ def test_extinction_profile_mean_in_the_metastable_regime():
     assert m16 == pytest.approx(1.053e16, rel=1e-3)
     m18 = op_extinction_profile_exact(18, 0.95).mean_steps
     assert m16 < m18 < math.inf
+
+
+_TRANSFER_QS = (0.0, 1 / 3, 0.3, 0.5, 0.6447, 0.7, 0.9, 0.95, 0.99, 1.0)
+
+# sha256 of the float64 bytes of every class transfer matrix of [0, ell],
+# q over _TRANSFER_QS and even -> odd before odd -> even, recorded from the
+# subset-by-subset construction
+_TRANSFER_DIGESTS = [
+    "eb38c1dd920323ac", "285b66d79c08fb3e", "f83c6cf9e85e4d8d", "b960543539d3fc97",
+    "d89795393272471a", "355da0efd6a167cb", "d338b1062d45902f", "36a8fb76a1347812",
+    "208f5154eb863a52", "735eb65f1ab6f582", "9159ce4cf7856bde", "11605f3a84afef0c",
+    "e1a7179d31e9cd77", "6281fc38135576c1", "228d1ecae4c997c4", "6028993e907f296f",
+    "4dfc267d062af34a", "506031b6caab3f26", "05525608e0eb0a8d", "f71f9772df4e5b78",
+]
+
+
+def test_class_transition_golden():
+    digests = []
+    for ell in range(20):
+        evens, odds = list(range(0, ell + 1, 2)), list(range(1, ell + 1, 2))
+        h = hashlib.sha256()
+        for q in _TRANSFER_QS:
+            for src, dst in ((evens, odds), (odds, evens)):
+                T = _class_transition(src, dst, q)
+                assert T.shape == (1 << len(src), 1 << len(dst))
+                h.update(np.ascontiguousarray(T, dtype="<f8").tobytes())
+        digests.append(h.hexdigest()[:16])
+    assert digests == _TRANSFER_DIGESTS
+
+
+def test_extinction_profile_workload_cells_golden():
+    # the exact profiles of the benchmark's percolation workload (q = 0.7)
+    profiles = [op_extinction_profile_exact(ell, 0.7) for ell in (8, 10, 12, 14, 16)]
+    assert [(p.mean_steps, p.median_steps) for p in profiles] == [
+        (89.76907945483553, 64.0), (156.16732554258752, 111.0), (259.2106573288761, 183.0),
+        (417.29940594660707, 293.0), (658.1278308909253, 461.0)]
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+def test_extinction_profile_median_is_the_first_step_at_or_below_half(q):
+    # the survival is non-increasing in t, so s(m - 1) > 1/2 >= s(m) makes m
+    # the smallest such step; at q = 0.9 the medians reach 350 033 steps,
+    # far past where the profile switches to its geometric tail
+    for ell in range(9):
+        m = op_extinction_profile_exact(ell, q).median_steps
+        assert m == int(m) >= 1
+        full = full_interval_initial(ell)
+        assert op_exact_survival(ell, q, int(m) - 1, full) > 0.5 >= op_exact_survival(ell, q, int(m), full)
+
+
+@pytest.mark.parametrize("ell, q", [(11, 0.95), (12, 0.95), (15, 0.93)])
+def test_extinction_profile_median_in_the_metastable_regime(ell, q):
+    # with the law quasi-stationary long before the median, the survival is
+    # exp(-t / mean) up to corrections of the relaxation time over the mean
+    prof = op_extinction_profile_exact(ell, q)
+    assert prof.mean_steps > 1e10
+    assert prof.median_steps == pytest.approx(prof.mean_steps * math.log(2), rel=1e-8)
+
+
+def _matmul(X, Y):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+def _decimal_survival(ell: int, q: float, t: int) -> Decimal:
+    """P(eta_t != empty) from the full even start in 40-digit decimals: the
+    one-step matrices between the subsets of each parity class, built
+    afresh, and the two-step matrix raised to t // 2 by repeated squaring."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        q = Decimal(q)
+        classes = [[frozenset(c) for r in range(ell + 2) for c in combinations(range(p, ell + 1, 2), r)]
+                   for p in (0, 1)]
+
+        def step(p):
+            rows = []
+            for occ in classes[p]:
+                opens = {j: 1 - (1 - q) ** ((j - 1 in occ) + (j + 1 in occ))
+                         for j in range(1 - p, ell + 1, 2)}
+                rows.append([math.prod((o if j in nxt else 1 - o for j, o in opens.items()),
+                                       start=Decimal(1)) for nxt in classes[1 - p]])
+            return rows
+
+        even_to_odd = step(0)
+        power, k = _matmul(even_to_odd, step(1)), t // 2
+        dist = [[Decimal(int(occ == classes[0][-1])) for occ in classes[0]]]
+        while k:
+            if k & 1:
+                dist = _matmul(dist, power)
+            power, k = _matmul(power, power), k >> 1
+        if t % 2:
+            dist = _matmul(dist, even_to_odd)
+        return sum(dist[0][1:])  # entry 0 is the empty set
+
+
+def test_extinction_profile_median_matches_a_40_digit_survival():
+    # the median of 424 867 821 steps lies far beyond where a survival
+    # carried step by step in doubles is good to one step
+    for t in (0, 1, 2, 7):
+        assert float(_decimal_survival(5, 0.99, t)) == pytest.approx(
+            op_exact_survival(5, 0.99, t, full_interval_initial(5)), abs=1e-15)
+    m = int(op_extinction_profile_exact(5, 0.99).median_steps)
+    assert _decimal_survival(5, 0.99, m - 1) > Decimal("0.5") >= _decimal_survival(5, 0.99, m)
+
+
+def test_extinction_profile_terminates_across_q():
+    cells = [(ell, _TRANSFER_QS) for ell in range(12)] + [(19, (0.3, 0.75, 0.89, 0.99))]
+    for ell, qs in cells:
+        medians = []
+        for q in sorted(qs):
+            prof = op_extinction_profile_exact(ell, q)
+            if q == 1.0:
+                assert prof.median_steps == prof.mean_steps == math.inf
+                continue
+            # P(T >= m) <= mean / m and P(T >= m) > 1/2 give m < 2 mean
+            assert prof.median_steps == int(prof.median_steps)
+            assert 1 <= prof.median_steps < 2 * prof.mean_steps
+            medians.append(prof.median_steps)
+        assert medians == sorted(medians)  # the survival is monotone in q
+        if 0.0 in qs:
+            assert medians[0] == 1.0
