@@ -21,10 +21,14 @@ Two routes sample the process:
 
 * a graphical construction over a fixed time window, built from
   counter-based clock streams keyed by (seed, stream id, occurrence
-  index).  All coupling and duality features run on it: one sweep over the
-  recorded clocks carries forward runs, initial sets that share every
-  clock, and infection rates that share thinned clocks; the time-reversed
-  window gives the dual process.
+  index).  `record_event_window` hashes every ring of a window in bulk
+  through `rng.mix64_array`, in rounds of bounded size.  The gaps keep
+  `math.log1p` on purpose: numpy's vectorized log1p can differ from it in
+  the last bit on some hosts, and a clock time must not depend on the
+  host.  All coupling and duality features run on the window: one sweep
+  over the recorded clocks carries forward runs, initial sets that share
+  every clock, and infection rates that share thinned clocks; the
+  time-reversed window gives the dual process.
 
 Simultaneous events have probability zero in continuous time; if the
 discrete generators ever collide, recoveries are applied before
@@ -36,7 +40,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from heapq import heappush, heappop
 from itertools import accumulate
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -44,7 +47,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .graphs import CaterpillarGraph, Graph
-from .rng import CounterStream, TAG_CLOCK, TAG_CONTACT, TAG_MARK, mix64, uniform_from_key
+from .rng import TAG_CLOCK, TAG_CONTACT, TAG_MARK, mix64, mix64_array
 
 
 @dataclass(frozen=True)
@@ -306,30 +309,80 @@ class EventRecord:
     events: tuple
 
 
+_ROUND_CAP = 1 << 16  # clock draws hashed per round, whatever lam * horizon is
+
+
+def _clock_rings(keys: np.ndarray, rate: float, horizon: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ring up to `horizon` of the rate-`rate` clocks with uint64
+    stream `keys`: (times, row in keys, counter) arrays.
+
+    Ring c of a clock is its previous ring plus -log1p(-u) / rate, with u
+    the uniform of (key, c).  Rows are drawn in blocks and rounds of at
+    most _ROUND_CAP draws; cumsum along a row adds the gaps one at a time,
+    in the same order as a sequential t + e.
+    """
+    mean = rate * horizon
+    width = int(min(mean + 3.0 * math.sqrt(mean), _ROUND_CAP)) + 2
+    times, rows, counters = [], [], []
+    for lo in range(0, len(keys), _ROUND_CAP):
+        live = np.arange(lo, min(lo + _ROUND_CAP, len(keys)))
+        last = np.zeros(len(live))
+        first = 0
+        while len(live):
+            cols = max(1, min(width, _ROUND_CAP // len(live)))
+            counter = np.arange(first, first + cols, dtype=np.uint64)
+            h = mix64_array(counter[None, :], state=keys[live, None]) >> np.uint64(11)
+            neg_u = (h.astype(np.float64) * -2.0**-53).ravel().tolist()
+            # math.log1p, not np.log1p: the vectorized one can differ in the
+            # last bit, which would move clock times with the host's SIMD
+            gaps = np.fromiter(map(math.log1p, neg_u), float, len(neg_u))
+            t = -gaps.reshape(len(live), cols) / rate
+            t[:, 0] += last
+            np.cumsum(t, axis=1, out=t)
+            keep = t <= horizon
+            r, c = np.nonzero(keep)
+            times.append(t[r, c])
+            rows.append(live[r])
+            counters.append(c + first)
+            more = keep[:, -1]
+            live, last = live[more], t[more, -1]
+            first += cols
+    if not times:
+        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(times), np.concatenate(rows), np.concatenate(counters)
+
+
 def record_event_window(g: Graph, lam: float, seed: int, horizon: float) -> EventRecord:
+    """All clock rings of the graphical construction on `g` up to `horizon`.
+
+    Stream ids 0..n-1 are the recovery clocks (rate 1) of the vertices,
+    and n + j the infection clock (rate lam) of the j-th directed edge in
+    adjacency order.  Ring c of stream s draws its gap from the key
+    (seed, TAG_CLOCK, s, c) and, for an infection, its mark from
+    (seed, TAG_MARK, s, c).  Every ring is hashed in bulk, and the events
+    come sorted by (time, stream id, counter).
+    """
+    _check_rates(lam, None)
     if horizon < 0 or not math.isfinite(horizon):
         raise ValueError("graphical windows need a finite non-negative horizon")
-    events = []
-    directed = [(v, w) for v in range(g.vertex_count) for w in g.adjacency[v]]
-    heap = []
-    streams = []
-    for v in range(g.vertex_count):
-        streams.append((CounterStream(seed, TAG_CLOCK, v), 1.0, _RECOVERY, v, -1))
-    for j, (a, b) in enumerate(directed):
-        streams.append((CounterStream(seed, TAG_CLOCK, g.vertex_count + j), lam, _INFECTION, a, b))
-    for sid, (stream, rate, kind, a, b) in enumerate(streams):
-        t0 = stream.exponential(0, rate)
-        if t0 <= horizon:
-            heappush(heap, (t0, sid, 0))
-    while heap:
-        t, sid, counter = heappop(heap)
-        stream, rate, kind, a, b = streams[sid]
-        mark = uniform_from_key(seed, TAG_MARK, sid, counter) if kind == _INFECTION else 0.0
-        events.append((t, sid, counter, kind, a, b, mark))
-        t_next = t + stream.exponential(counter + 1, rate)
-        if t_next <= horizon:
-            heappush(heap, (t_next, sid, counter + 1))
-    return EventRecord(g, lam, horizon, tuple(events))
+    n = g.vertex_count
+    src = np.repeat(np.arange(n), [len(nbrs) for nbrs in g.adjacency])
+    dst = np.fromiter((w for nbrs in g.adjacency for w in nbrs), np.int64, len(src))
+    keys = mix64_array(np.arange(n + len(src)), state=mix64(seed, TAG_CLOCK))
+    t_rec, sid_rec, c_rec = _clock_rings(keys[:n], 1.0, horizon)
+    t_inf, j, c_inf = _clock_rings(keys[n:], lam, horizon)
+    marks = mix64_array(seed, TAG_MARK, j + n, c_inf) >> np.uint64(11)
+    t = np.concatenate([t_rec, t_inf])
+    sid = np.concatenate([sid_rec, j + n])
+    counter = np.concatenate([c_rec, c_inf])
+    order = np.lexsort((counter, sid, t))
+    kind = (sid >= n).astype(np.int64)
+    a = np.concatenate([sid_rec, src[j]])
+    b = np.concatenate([np.full(len(sid_rec), -1), dst[j]])
+    mark = np.concatenate([np.zeros(len(sid_rec)), marks.astype(np.float64) * 2.0**-53])
+    columns = (arr[order].tolist() for arr in (t, sid, counter, kind, a, b, mark))
+    return EventRecord(g, lam, horizon, tuple(zip(*columns)))
 
 
 def _mask_of(vertices: Iterable[int], n: int) -> int:
@@ -401,18 +454,23 @@ def _sweep(record: EventRecord, masks: Sequence[int], accept: Sequence[float], t
     return [state >> i * n & full for i in range(k)], taus, events
 
 
+def _check_window(record: EventRecord, t_end: float) -> None:
+    """Written so that NaN fails."""
+    if not 0 <= t_end <= record.horizon:
+        raise ValueError("t_end must lie in the recorded window [0, horizon]")
+
+
 def forward_from_record(record: EventRecord, initial: Iterable[int], t_end: float,
                         lam_eff: float | None = None) -> frozenset[int]:
     """State at time t_end of the process driven by the recorded clocks.
 
-    With lam_eff set (must be <= record.lam), infection events are thinned
+    With lam_eff set (0 < lam_eff <= record.lam), infection events are thinned
     by their marks, realizing the lower-rate process on the same clocks.
     """
-    if t_end > record.horizon:
-        raise ValueError("window exceeds the recorded stream")
+    _check_window(record, t_end)
+    if lam_eff is not None and not 0 < lam_eff <= record.lam:
+        raise ValueError("thinned rate must be positive and cannot exceed the recorded rate")
     accept = 1.0 if lam_eff is None else lam_eff / record.lam
-    if accept > 1.0:
-        raise ValueError("thinned rate cannot exceed the recorded rate")
     (final,), _, _ = _sweep(record, [_mask_of(initial, record.graph.vertex_count)], [accept], t_end)
     return _set_of(final)
 
@@ -423,8 +481,7 @@ def dual_from_record(record: EventRecord, targets: Iterable[int], t_end: float
     vertices whose infection at forward time t_end - s would reach
     `targets` at time t_end.  Runs the recorded events backwards with
     arrows reversed."""
-    if t_end > record.horizon:
-        raise ValueError("window exceeds the recorded stream")
+    _check_window(record, t_end)
     mask = _mask_of(targets, record.graph.vertex_count)
     traj = [(0.0, _set_of(mask))]
     relevant = [ev for ev in record.events if ev[0] <= t_end]

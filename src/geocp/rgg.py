@@ -107,12 +107,13 @@ def _pair_edges(a_pts: np.ndarray, b_pts: np.ndarray, r2: float) -> np.ndarray:
 
 # padded cell keys and their neighbours' keys stay below 2^62
 _KEY_BITS = 62
+# coordinate entries compared per block when occupied cells are paired directly
+_PAIR_BLOCK = 1 << 20
 
 
-def _cell_keys(pts: np.ndarray, radius: float) -> tuple[np.ndarray, list[int]]:
+def _cell_keys(pts: np.ndarray, radius: float) -> tuple[np.ndarray, int]:
     """Linear keys of each point's cell in a grid of side >= radius, padded
-    by one cell on every side, and the key steps to the (3^d - 1)/2
-    half-neighbour cells.
+    by one cell on every side, and the padded grid's cells per axis.
 
     The side is `radius` unless the padded grid would need more than
     2^62 cells; then it widens, which still puts every pair within
@@ -125,12 +126,17 @@ def _cell_keys(pts: np.ndarray, radius: float) -> tuple[np.ndarray, list[int]]:
     if width < 4:
         raise ValueError(f"the cell search supports dim <= {_KEY_BITS // 2}, not {d}")
     side = max(radius, float(pts.max()) / (width - 3))
+    place = width ** np.arange(d, dtype=np.int64)
+    key = (np.floor(pts / side).astype(np.int64) + 1) @ place
+    return key, width
+
+
+def _half_steps(width: int, d: int) -> list[int]:
+    """Key steps to the (3^d - 1)/2 half-neighbour cells of a cell."""
     place = [width**k for k in range(d)]
-    key = (np.floor(pts / side).astype(np.int64) + 1) @ np.asarray(place, dtype=np.int64)
     zero = (0,) * d
-    steps = [sum(o * p for o, p in zip(off, place))
-             for off in product((-1, 0, 1), repeat=d) if off > zero]
-    return key, steps
+    return [sum(o * p for o, p in zip(off, place))
+            for off in product((-1, 0, 1), repeat=d) if off > zero]
 
 
 def _range_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,12 +147,37 @@ def _range_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return rows, cols
 
 
-def _candidate_pairs(key: np.ndarray, steps: list[int]):
-    """Candidate pairs (i, j) of positions in the ascending `key` array,
-    one batch per cell offset: each point with the later points of its own
-    cell, then with every point of the cell `step` keys away."""
+def _adjacent_cell_pairs(key: np.ndarray, first: np.ndarray, width: int, d: int):
+    """Candidate pairs of positions in the ascending `key` array between
+    occupied cells that are half-neighbours, where `first` holds each
+    cell's first position: each cell is compared with every later occupied
+    cell, coordinate by coordinate."""
+    end = np.r_[first[1:], len(key)]
+    coords = key[first, None] // width ** np.arange(d, dtype=np.int64) % width
+    rows = max(1, _PAIR_BLOCK // (len(first) * d))
+    for lo in range(0, len(first), rows):
+        block = coords[lo:lo + rows]
+        p, q = np.nonzero((np.abs(block[:, None, :] - coords[None, :, :]) <= 1).all(axis=2))
+        p += lo
+        p, q = p[q > p], q[q > p]
+        pair, i = _range_pairs(first[p], end[p])  # every point of cell p
+        r, j = _range_pairs(first[q][pair], end[q][pair])  # with every point of cell q
+        yield i[r], j
+
+
+def _candidate_pairs(key: np.ndarray, width: int, d: int):
+    """Candidate pairs (i, j) of positions in the ascending `key` array:
+    each point with the later points of its own cell, then with the points
+    of its half-neighbour cells.  With fewer occupied cells than the
+    (3^d - 1)/2 half-neighbour offsets, the occupied cells are paired
+    directly; otherwise there is one batch per offset `step`, each point
+    with every point of the cell `step` keys away."""
     yield _range_pairs(np.arange(1, len(key) + 1), np.searchsorted(key, key, side="right"))
-    for step in steps:
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    if len(first) < (3**d - 1) // 2:
+        yield from _adjacent_cell_pairs(key, first, width, d)
+        return
+    for step in _half_steps(width, d):
         yield _range_pairs(np.searchsorted(key, key + step, side="left"),
                            np.searchsorted(key, key + step, side="right"))
 
@@ -158,22 +189,25 @@ def build_rgg(cloud: PointCloud, radius: float) -> Graph:
     and the points are sorted by key, so each cell is one run of the
     sorted order.  `searchsorted` gives each point's candidates: the later
     points of its own cell and the points of its (3^dim - 1)/2
-    half-neighbour cells.  A candidate pair is an edge when its squared
-    distance, summed as in `build_rgg_bruteforce`, is <= radius^2, so the
-    result equals that quadratic reference construction exactly.
+    half-neighbour cells.  When fewer cells are occupied than there are
+    such offsets (a sparse cloud in high dimension), the occupied cells are
+    compared with each other instead of visiting every offset.  A
+    candidate pair is an edge when its squared distance, summed as in
+    `build_rgg_bruteforce`, is <= radius^2, so the result equals that
+    quadratic reference construction exactly.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
     n = len(cloud)
     if n == 0:
         return Graph.from_edges(0, [])
-    key, steps = _cell_keys(cloud.points, radius)
+    key, width = _cell_keys(cloud.points, radius)
     order = np.argsort(key, kind="stable")
     key = key[order]
     pts = cloud.points[order]
     r2 = radius * radius
     src, dst = [], []
-    for i, j in _candidate_pairs(key, steps):
+    for i, j in _candidate_pairs(key, width, cloud.dim):
         near = ((pts[i] - pts[j]) ** 2).sum(axis=1) <= r2
         src.append(order[i[near]])
         dst.append(order[j[near]])

@@ -8,11 +8,15 @@ counter) through a 64-bit finalizer.  This buys three things at once:
 * coupled experiments (same arrows, different retention probability; same
   clocks, different infection rate) replay identical noise by reusing keys;
 * any single draw can be reproduced in isolation for debugging.
+
+A stream is a key prefix such as (seed, TAG_CLOCK, stream id), and its
+k-th draw hashes the prefix with the counter k.  `mix64_array` hashes many
+keys at once with the same result, element for element, as `mix64`: the
+contact process's clock windows and the oriented-percolation arrows are
+drawn that way, in bulk.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -84,24 +88,3 @@ def uniform_from_key(*keys: int) -> float:
 def derive_seed(master: int, index: int) -> int:
     """64-bit sub-seed for replica `index`; independent of other indices."""
     return mix64(master, TAG_REPLICA, index)
-
-
-class CounterStream:
-    """One logical noise stream addressed by a running counter.
-
-    `uniform(k)` is a pure function of (stream key, k), so a consumer can
-    revisit or skip counters freely.
-    """
-
-    def __init__(self, *key: int):
-        self._base = mix64(*key)
-
-    def uniform(self, counter: int) -> float:
-        return (_finalize((self._base + _GOLDEN) ^ ((counter & _MASK) * _MULT & _MASK)) >> 11) * 2.0**-53
-
-    def exponential(self, counter: int, rate: float) -> float:
-        """Exp(rate) waiting time from the counter-th uniform."""
-        if rate <= 0.0:
-            raise ValueError("rate must be positive")
-        u = self.uniform(counter)
-        return -math.log1p(-u) / rate

@@ -1,11 +1,15 @@
 import gc
+import hashlib
+import heapq
 import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geocp import rgg
+from geocp import contact, rgg
 from geocp.contact import (ContactConfig, TauSample, _block_sums, _extinction_kernel,
                            _healthy_flags, _mask_of, _pick_target, _start_state, _sweep,
                            birth_death_clique_simulate, dual_from_record,
@@ -16,6 +20,7 @@ from geocp.exact import exact_clique_extinction, exact_expected_extinction_ctmc
 from geocp.experiments import battery_graphs
 from geocp.graphs import (CaterpillarSpec, Graph, build_caterpillar, build_complete,
                           random_connected_graph)
+from geocp.rng import TAG_CLOCK, TAG_MARK, uniform_from_key
 
 
 def test_config_validation():
@@ -182,6 +187,133 @@ def test_dual_window_rejection():
         forward_from_record(rec, [3], 1.0)
     with pytest.raises(ValueError, match="out of range"):
         dual_from_record(rec, [3], 1.0)
+
+
+def test_record_readers_validate_t_end_and_lam_eff():
+    rec = record_event_window(build_complete(3), 1.5, 4, 2.0)
+    for bad in (math.nan, -1.0, -1e-300, 2.0000001, math.inf):
+        with pytest.raises(ValueError, match="t_end"):
+            forward_from_record(rec, [0, 1, 2], bad)
+        with pytest.raises(ValueError, match="t_end"):
+            dual_from_record(rec, [0], bad)
+    for bad in (math.nan, -0.5, 0.0, 1.5000001, math.inf):
+        with pytest.raises(ValueError, match="thinned rate"):
+            forward_from_record(rec, [0, 1, 2], 1.0, bad)
+    # the window's ends and the recorded rate itself are accepted
+    assert forward_from_record(rec, [0, 1], 0.0) == frozenset({0, 1})
+    assert dual_from_record(rec, [2], 0.0) == [(0.0, frozenset({2}))]
+    assert forward_from_record(rec, [0, 1, 2], 2.0, 1.5) == forward_from_record(rec, [0, 1, 2], 2.0)
+
+
+def test_record_event_window_validates_lam(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a clock was drawn before the rate was checked")
+
+    monkeypatch.setattr(contact, "mix64_array", no_draws)
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="infection rate"):
+            record_event_window(build_complete(3), bad, 1, 2.0)
+
+
+def _reference_window(g, lam, seed, horizon):
+    """The scalar construction: one clock per stream, merged through a heap.
+
+    Stream s (vertex recoveries first, then the directed edges in adjacency
+    order) rings at the previous ring plus -log1p(-u) / rate, where u is the
+    uniform of the key (seed, TAG_CLOCK, s, c) for its c-th ring; an
+    infection's mark is the uniform of (seed, TAG_MARK, s, c).
+    """
+    n = g.vertex_count
+    streams = [(1.0, 0, v, -1) for v in range(n)]
+    streams += [(lam, 1, v, w) for v in range(n) for w in g.adjacency[v]]
+
+    def gap(sid, c):
+        return -math.log1p(-uniform_from_key(seed, TAG_CLOCK, sid, c)) / streams[sid][0]
+
+    heap = [(gap(sid, 0), sid, 0) for sid in range(len(streams))]
+    heap = [item for item in heap if item[0] <= horizon]
+    heapq.heapify(heap)
+    events = []
+    while heap:
+        t, sid, c = heapq.heappop(heap)
+        _, kind, a, b = streams[sid]
+        mark = uniform_from_key(seed, TAG_MARK, sid, c) if kind else 0.0
+        events.append((t, sid, c, kind, a, b, mark))
+        t_next = t + gap(sid, c + 1)
+        if t_next <= horizon:
+            heapq.heappush(heap, (t_next, sid, c + 1))
+    return tuple(events)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(0, 7))
+    pairs = [(v, w) for v in range(n) for w in range(v + 1, n)]
+    return Graph.from_edges(n, [p for p in pairs if draw(st.booleans())])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_small_graphs(), st.floats(1e-12, 8.0),
+       st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+       st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([2**63 + 3, 2**64 - 1])))
+def test_window_matches_the_scalar_reference(g, lam, horizon, seed):
+    rec = record_event_window(g, lam, seed, horizon)
+    assert rec.events == _reference_window(g, lam, seed, horizon)
+    assert all(type(x) is float for ev in rec.events for x in (ev[0], ev[6]))
+    assert all(type(x) is int for ev in rec.events for x in ev[1:6])
+
+
+def test_window_in_small_rounds_matches_the_scalar_reference(monkeypatch):
+    # a cap of 5 draws splits the clocks into blocks of five rows and every
+    # row into rounds of one or two rings
+    monkeypatch.setattr(contact, "_ROUND_CAP", 5)
+    for g, lam, seed, horizon in ((build_complete(4), 2.0, 7, 3.0),
+                                  (random_connected_graph(7, 3, 2), 0.5, 2**64 - 1, 6.0),
+                                  (build_complete(1), 1.0, 3, 10.0)):
+        assert record_event_window(g, lam, seed, horizon).events == \
+            _reference_window(g, lam, seed, horizon)
+
+
+def test_window_golden():
+    """sha256 of repr(events) over lam x seed, recorded from the per-stream
+    heap merge this bulk window replaced."""
+    graphs = {"K1": (build_complete(1), 3.0, 44,
+                     "427a15ca01d27ef922021829c4b60621244e7b3665305308834c580323cd5f45"),
+              "K5": (build_complete(5), 3.0, 1791,
+                     "cacafe76144cc7762a9209d5647f3ee30f9182b2048fc2093beda9f2bebed15f"),
+              "C(2,4)": (build_caterpillar(CaterpillarSpec(2, 4)).graph, 3.0, 5840,
+                         "2696601babd4c41807bb3f42a4fe8bb1ab8248cb2aac6d632749cb77470808b4"),
+              "C(10,20)": (build_caterpillar(CaterpillarSpec(10, 20)).graph, 0.5, 65735,
+                           "40dc1714689f8be06f56ce81967e3c24f6006802195b20d5d349aa5fc000d6b2")}
+    for name, (g, horizon, count, digest) in graphs.items():
+        h = hashlib.sha256()
+        total = 0
+        for lam in (1e-12, 0.3, 2.0, 7.0):
+            for seed in (0, 2**63 + 3, 2**64 - 1):
+                events = record_event_window(g, lam, seed, horizon).events
+                total += len(events)
+                h.update(repr(events).encode())
+        assert (name, total, h.hexdigest()) == (name, count, digest)
+
+
+def test_window_draws_stay_within_the_round_cap(monkeypatch):
+    largest = []
+
+    def recording(*keys, **kwargs):
+        out = real(*keys, **kwargs)
+        largest.append(out.size)
+        return out
+
+    real = contact.mix64_array
+    monkeypatch.setattr(contact, "mix64_array", recording)
+    rec = record_event_window(build_complete(3), 1e4, 5, 1.0)
+    # the marks are hashed once per infection, after the clock rounds
+    assert max(largest[:-1]) <= contact._ROUND_CAP
+    infections = sum(ev[3] for ev in rec.events)
+    assert largest[-1] == infections
+    assert 5.9e4 < infections < 6.1e4
+    times = [ev[0] for ev in rec.events]
+    assert times == sorted(times) and times[-1] <= 1.0
 
 
 def test_pathwise_duality_identity():

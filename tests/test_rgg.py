@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from geocp.rgg import (GeometryConfig, PointCloud, _cell_keys, build_rgg, build_rgg_bruteforce,
-                       discretize_boxes, embedding_is_valid, find_caterpillar_embedding,
-                       sample_poisson_points, to_point_text)
+from geocp import rgg as rgg_module
+from geocp.rgg import (GeometryConfig, PointCloud, _cell_keys, _half_steps, build_rgg,
+                       build_rgg_bruteforce, discretize_boxes, embedding_is_valid,
+                       find_caterpillar_embedding, sample_poisson_points, to_point_text)
 
 
 def test_poisson_count_moments():
@@ -197,9 +198,9 @@ def test_rgg_wide_grid_matches_bruteforce():
     # axis; the builder widens its cells instead of overflowing the key
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        key, steps = _cell_keys(np.array([[0.0], [5.0]]), 1e-19)
+        key, width = _cell_keys(np.array([[0.0], [5.0]]), 1e-19)
         tiny = build_rgg(PointCloud(np.array([[0.0], [5.0], [5.0]]), 5.0), 1e-19)
-    assert 0 <= key.min() and key.max() + max(steps) < 2**62
+    assert 0 <= key.min() and key.max() + max(_half_steps(width, 1)) < 2**62
     assert tiny.edges() == [(1, 2)]
     rng = np.random.default_rng(5)
     pts = rng.random((150, 8)) * 5.0
@@ -209,8 +210,8 @@ def test_rgg_wide_grid_matches_bruteforce():
     pts[3] = pts[0]
     pts[3, 5] += 0.0125  # beyond R
     cloud = PointCloud(pts, 5.0)
-    key, steps = _cell_keys(pts, 0.01)
-    assert 0 <= key.min() and key.max() + max(steps) < 2**62
+    key, width = _cell_keys(pts, 0.01)
+    assert 0 <= key.min() and key.max() + max(_half_steps(width, 8)) < 2**62
     g = build_rgg(cloud, 0.01)
     assert g.adjacency == build_rgg_bruteforce(cloud, 0.01).adjacency
     assert {(0, 1), (0, 2), (1, 2)} <= set(g.edges()) and g.degree(3) == 0
@@ -219,6 +220,38 @@ def test_rgg_wide_grid_matches_bruteforce():
     # from dim 32 no padded grid of 3+ cells per axis fits in 2^62 keys
     with pytest.raises(ValueError, match="dim <= 31"):
         build_rgg(PointCloud(np.zeros((2, 32)), 1.0), 1.0)
+
+
+def test_rgg_high_dim_pairs_occupied_cells():
+    # clusters of five points, spread by about R per axis, in dims 6-10: far
+    # fewer occupied cells than the (3^d - 1)/2 half-neighbour offsets
+    rng = np.random.default_rng(8)
+    for d in range(6, 11):
+        centres = rng.random((8, d)) * 6.0 + 1.0
+        pts = np.repeat(centres, 5, axis=0) + rng.normal(0.0, 0.25, (40, d))
+        pts[1] = pts[0]
+        pts[2] = pts[0]
+        pts[2, 0] += 1.0  # R = 1 from point 0 along one axis, across a cell face
+        cloud = PointCloud(np.clip(pts, 0.0, 8.0), 8.0)
+        counts = []
+        for radius in (0.7, 1.0, 1.6):
+            g = build_rgg(cloud, radius)
+            assert g.adjacency == build_rgg_bruteforce(cloud, radius).adjacency
+            counts.append(g.edge_count)
+            assert radius != 1.0 or (0, 2) in g.edges()
+        assert 0 < counts[0] < counts[1] < counts[2]
+
+
+def test_rgg_sparse_high_dim_cloud_skips_the_offsets(monkeypatch):
+    # 20 far-apart points in d = 10 against 29 524 half-neighbour offsets
+    def no_offsets(width, d):
+        raise AssertionError("visited every half-neighbour offset")
+
+    monkeypatch.setattr(rgg_module, "_half_steps", no_offsets)
+    cloud = PointCloud(np.random.default_rng(1).random((20, 10)) * 100.0, 100.0)
+    g = build_rgg(cloud, 1.0)
+    assert g.vertex_count == 20 and g.edge_count == 0
+    assert g.adjacency == build_rgg_bruteforce(cloud, 1.0).adjacency
 
 
 def test_rgg_radius_validation():

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geocp.rng import CounterStream, derive_seed, mix64, mix64_array, uniform_from_key
+from geocp.rng import derive_seed, mix64, mix64_array, uniform_from_key
 
 
 def test_mix64_deterministic_and_order_sensitive():
@@ -23,21 +23,6 @@ def test_derive_seed_independent_of_batching():
     assert len(set(a)) == 100
     # recomputing any index in isolation gives the same sub-seed
     assert derive_seed(42, 57) == a[57]
-
-
-def test_counter_stream_pure_in_counter():
-    s = CounterStream(5, 6)
-    u10 = s.uniform(10)
-    assert s.uniform(10) == u10
-    assert s.uniform(11) != u10
-    t = CounterStream(5, 7)
-    assert t.uniform(10) != u10
-
-
-def test_counter_stream_exponential_rate():
-    s = CounterStream(9)
-    draws = [s.exponential(k, 2.0) for k in range(20000)]
-    assert abs(np.mean(draws) - 0.5) < 0.02
 
 
 _U64 = st.integers(min_value=0, max_value=2**64 - 1)
