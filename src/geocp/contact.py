@@ -14,10 +14,13 @@ Two routes sample the process:
   per block of 64 vertices, so the infection target is found by a search
   over the block sums and then inside one block instead of a walk over
   every vertex.  The sums are integer-exact and re-audited against a
-  from-scratch recount every 10^6 events.  Draws come from a private
-  numpy RandomState; numpy's global random state is never touched.  The
-  engine can record the infected set at a fixed cadence, which draws
-  nothing, so a recorded run is the same replica as an unrecorded one.
+  from-scratch recount every 10^6 events.  The draws are those of a
+  private legacy numpy RandomState, bit for bit: the engine reads its raw
+  MT19937 words in bulk and decodes them with numpy's own frozen legacy
+  formulas, which saves numpy's per-call overhead on every event; numpy's
+  global random state is never touched.  The engine can record the
+  infected set at a fixed cadence, which draws nothing, so a recorded run
+  is the same replica as an unrecorded one.
 
 * a graphical construction over a fixed time window, built from
   counter-based clock streams keyed by (seed, stream id, occurrence
@@ -141,39 +144,72 @@ def _start_state(adjacency: Sequence[Sequence[int]], healthy: list[int]) -> _Sta
 
 def _pick_target(r: float, healthy: list[int], nb: list[int], block: list[int]) -> int:
     """The healthy vertex at which the running pressure sum, taken in
-    vertex order, first exceeds r: a search over the block sums, then over
-    the vertices of one block.  Pressures are integers, so r >= S (from
-    rounding in r = u * S) is answered like r = S - 1: by the last vertex
-    with positive pressure."""
+    vertex order, first exceeds r: a search over the block sums, then a
+    walk over the vertices of one block.  Pressures are integers, so r >= S
+    (from rounding in r = u * S) is answered like r = S - 1: by the last
+    vertex with positive pressure."""
     sums = list(accumulate(block))
     if r >= sums[-1]:
         r = sums[-1] - 1
     b = bisect_right(sums, r)
+    acc = sums[b - 1] if b else 0
     lo = b << _BLOCK_SHIFT
-    hi = lo + (1 << _BLOCK_SHIFT)
-    running = list(accumulate(map(mul, healthy[lo:hi], nb[lo:hi]), initial=sums[b - 1] if b else 0))
-    return lo + bisect_right(running, r) - 1
+    for v in range(lo, min(lo + (1 << _BLOCK_SHIFT), len(nb))):
+        if healthy[v]:
+            acc += nb[v]
+            if acc > r:
+                break
+    return v
+
+
+class _LegacyMT(NamedTuple):
+    """numpy's legacy RandomState over the MT19937 whose raw words the
+    kernel decodes: `rs.seed` reseeds `bits` exactly as RandomState.seed
+    does, and `bits.random_raw` yields the words random_sample and randint
+    would consume."""
+
+    rs: np.random.RandomState
+    bits: np.random.MT19937
+
+
+def _legacy_mt() -> _LegacyMT:
+    """A generator for the kernel; its own seed never shows, since every
+    replica reseeds it."""
+    bits = np.random.MT19937(0)
+    return _LegacyMT(np.random.RandomState(bits), bits)
+
+
+_WORDS_PER_FETCH = 256  # raw words the kernel reads from the generator at a time
+_EVENT_WORDS = 6  # words an event takes, rejected slot draws aside: three uniforms
 
 
 def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, lam: float,
-                       t_cap: float, rs: np.random.RandomState, seed: int,
+                       t_cap: float, mt: _LegacyMT, seed: int,
                        audit_every: int = 1_000_000, snapshots: list | None = None,
                        cadence: float = 0.0) -> tuple[float, bool, int]:
     """One replica from `start`, which is left unchanged; t_cap < 0 means
     no cap.  Returns (tau, censored, events).
 
-    `rs` is reseeded with `seed` (< 2**31), and each event draws, in this
+    `mt` is reseeded with `seed` (< 2**31), and each event draws, in this
     order: the waiting time, the event kind, then the recovering vertex's
-    slot in the infected list or the infection target.  Every
+    slot in the infected list or the infection target.  The draws are
+    numpy's frozen legacy ones (NEP 19), decoded in place from the raw
+    32-bit words: a uniform is random_sample's (a >> 5, b >> 6) double
+    from two words, and a slot in [0, k) is randint(0, k)'s masked
+    rejection, one word per try, with nothing drawn for k = 1.  Every
     `audit_every` events the block sums and the pressure sum are recounted.
 
     With a `snapshots` list, (j * cadence, frozenset(infected)) is appended
     for every j * cadence up to the smaller of the next event time and the
     cap, before that event applies.  Recording draws nothing.
     """
-    rs.seed(seed)
-    random = rs.random_sample
-    randint = rs.randint
+    mt.rs.seed(seed)
+    raw = mt.bits.random_raw
+    fetch = _WORDS_PER_FETCH
+    words: list[int] = []
+    i = 0
+    top = -1  # past words[top] an event could run out of words: refill first
+    scale = 2.0 ** -53
     log = math.log
     shift = _BLOCK_SHIFT
     horizon = t_cap if t_cap >= 0.0 else math.inf
@@ -188,9 +224,14 @@ def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, l
     snap_index = 0
     next_snap = math.inf if snapshots is None else 0.0
     while inf_list:
+        if i > top:
+            words = words[i:] + raw(fetch).tolist()
+            i = 0
+            top = len(words) - _EVENT_WORDS
         k = len(inf_list)
         total = k + lam * S
-        t_next = t - log(1.0 - random()) / total  # bitwise t + Exp(total)
+        u = ((words[i] >> 5) * 67108864.0 + (words[i + 1] >> 6)) * scale
+        t_next = t - log(1.0 - u) / total  # bitwise t + Exp(total)
         if t_next >= next_snap:
             while next_snap <= t_next and next_snap <= horizon:
                 snapshots.append((next_snap, frozenset(inf_list)))
@@ -200,8 +241,22 @@ def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, l
             return t_cap, True, events
         t = t_next
         events += 1
-        if random() * total < k:
-            idx = randint(0, k) if k > 1 else 0  # randint(0, 1) draws nothing
+        u = ((words[i + 2] >> 5) * 67108864.0 + (words[i + 3] >> 6)) * scale
+        i += 4
+        if u * total < k:
+            if k > 1:
+                mask = (1 << (k - 1).bit_length()) - 1
+                idx = words[i] & mask
+                i += 1
+                while idx >= k:
+                    if i == len(words):
+                        words = raw(fetch).tolist()
+                        i = 0
+                        top = len(words) - _EVENT_WORDS
+                    idx = words[i] & mask
+                    i += 1
+            else:
+                idx = 0
             v = inf_list[idx]
             inf_list[idx] = inf_list[-1]
             inf_list.pop()
@@ -215,7 +270,9 @@ def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, l
                     block[w >> shift] -= 1
                     S -= 1
         else:
-            v = _pick_target(random() * S, healthy, nb, block)
+            u = ((words[i] >> 5) * 67108864.0 + (words[i + 1] >> 6)) * scale
+            i += 2
+            v = _pick_target(u * S, healthy, nb, block)
             healthy[v] = 0
             inf_list.append(v)
             p = nb[v]
@@ -253,7 +310,7 @@ def _replica(g: Graph, cfg: ContactConfig, initial: Iterable[int] | None,
     healthy = _healthy_flags(g.vertex_count, initial)
     cap = -1.0 if cfg.t_cap is None else float(cfg.t_cap)
     return _extinction_kernel(g.adjacency, _start_state(g.adjacency, healthy), float(cfg.lam),
-                              cap, np.random.RandomState(), cfg.seed & 0x7FFFFFFF,
+                              cap, _legacy_mt(), cfg.seed & 0x7FFFFFFF,
                               snapshots=snapshots, cadence=cadence)
 
 
@@ -270,17 +327,19 @@ def sample_extinction_times(g: Graph, lam: float, t_cap: float | None, master_se
     replica_seed(master_seed, i), so results never depend on batching.
     numpy's global random state is left untouched."""
     _check_rates(lam, t_cap)
+    if not isinstance(replicas, (int, np.integer)) or replicas < 0:
+        raise ValueError("replicas must be a non-negative integer")
     healthy = _healthy_flags(g.vertex_count, initial)
     taus = np.empty(replicas)
     censored = np.empty(replicas, dtype=bool)
     if replicas == 0:
         return taus, censored
     start = _start_state(g.adjacency, healthy)
-    rs = np.random.RandomState()
+    mt = _legacy_mt()
     lam = float(lam)
     cap = -1.0 if t_cap is None else float(t_cap)
     for i in range(replicas):
-        tau, cens, _ = _extinction_kernel(g.adjacency, start, lam, cap, rs,
+        tau, cens, _ = _extinction_kernel(g.adjacency, start, lam, cap, mt,
                                           replica_seed(master_seed, i))
         taus[i] = tau
         censored[i] = cens
@@ -550,6 +609,7 @@ def birth_death_clique_simulate(m: int, lam: float, initial_count: int, seed: in
                                 t_cap: float | None = None) -> TauSample:
     """Extinction time on a complete graph simulated through the infected
     count only (exact reduction: all vertices of a clique are exchangeable)."""
+    _check_rates(lam, t_cap)
     if not (0 <= initial_count <= m):
         raise ValueError("initial count must lie in [0, m]")
     rng = np.random.default_rng(mix64(seed, TAG_CONTACT, 0x4244))

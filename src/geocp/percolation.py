@@ -16,7 +16,8 @@ Conventions used throughout:
   with neighbors listed in axis order, lower side first;
 * the long-path polish keeps its path in a plain list, so a Posa rotation
   is a slice reversal and a head's rotation candidates are found with
-  list.index, in adjacency order;
+  list.index, in adjacency order, over the last _NEAR_HEAD positions
+  first, where the pivots mostly sit;
 * every oriented-percolation run steps through `_op_step`, which hashes a
   whole step's arrows at once for any number of replicas; replica r of a
   batch runs on the field of derive_seed(seed, r), so it is exactly the
@@ -180,6 +181,17 @@ def _dfs_deep_path(order, start: int) -> list[int]:
     return path
 
 
+_NEAR_HEAD = 256  # path positions next to the head searched before the whole path
+
+
+def _position(path: list[int], v: int) -> int:
+    """Index of v in the path, whose vertices are unique."""
+    try:
+        return path.index(v, max(0, len(path) - _NEAR_HEAD))
+    except ValueError:
+        return path.index(v)
+
+
 def _polish(path: list[int], adj, n_sites: int, salt: int, failure_budget: int,
             max_steps: int) -> list[int]:
     """Extend both ends of the simple path greedily, re-pointing stuck heads
@@ -208,7 +220,7 @@ def _polish(path: list[int], adj, n_sites: int, salt: int, failure_budget: int,
             continue
         # pivots: the head's path neighbors other than its predecessor
         pred = path[-2] if len(path) > 1 else -1
-        cands = [path.index(v) for v in adj[path[-1]] if on_path[v] and v != pred]
+        cands = [_position(path, v) for v in adj[path[-1]] if on_path[v] and v != pred]
         failures += 1
         if cands:
             i = cands[mix64(salt, steps) % len(cands)]

@@ -3,6 +3,7 @@ import hashlib
 import heapq
 import math
 import weakref
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 
 from geocp import contact, rgg
 from geocp.contact import (ContactConfig, TauSample, _block_sums, _extinction_kernel,
-                           _healthy_flags, _mask_of, _pick_target, _start_state, _sweep,
-                           birth_death_clique_simulate, dual_from_record,
-                           forward_from_record, lit_snapshots, record_event_window,
-                           sample_extinction_times, simulate_coupled, simulate_extinction,
-                           simulate_rate_coupled)
+                           _healthy_flags, _legacy_mt, _mask_of, _pick_target, _replica,
+                           _start_state, _sweep, birth_death_clique_simulate,
+                           dual_from_record, forward_from_record, lit_snapshots,
+                           record_event_window, replica_seed, sample_extinction_times,
+                           simulate_coupled, simulate_extinction, simulate_rate_coupled)
 from geocp.exact import exact_clique_extinction, exact_expected_extinction_ctmc
 from geocp.experiments import battery_graphs
 from geocp.graphs import (CaterpillarSpec, Graph, build_caterpillar, build_complete,
@@ -24,21 +25,39 @@ from geocp.rng import TAG_CLOCK, TAG_MARK, uniform_from_key
 
 
 def test_config_validation():
-    # ContactConfig and sample_extinction_times apply the same rule
+    # ContactConfig, sample_extinction_times and birth_death_clique_simulate
+    # apply the same rule; the last used to return tau = nan for lam = NaN
+    # or inf, divide by zero for lam = -1, censor at t_cap = -2 and ignore
+    # t_cap = NaN
     g = build_complete(3)
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="infection rate"):
             ContactConfig(bad)
         with pytest.raises(ValueError, match="infection rate"):
             sample_extinction_times(g, bad, None, 1, 3)
+        with pytest.raises(ValueError, match="infection rate"):
+            birth_death_clique_simulate(5, bad, 5, seed=1)
         with pytest.raises(ValueError, match="infection rates"):
             simulate_rate_coupled(g, [0.5, bad], 1, 1.0)
-    for bad in (-1.0, math.nan):
+    for bad in (-2.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="t_cap"):
             ContactConfig(1.0, t_cap=bad)
         with pytest.raises(ValueError, match="t_cap"):
             sample_extinction_times(g, 1.0, bad, 1, 3)
+        with pytest.raises(ValueError, match="t_cap"):
+            birth_death_clique_simulate(5, 0.5, 5, seed=1, t_cap=bad)
     assert ContactConfig(1.0, t_cap=0.0).t_cap == 0.0
+    assert birth_death_clique_simulate(5, 0.5, 5, seed=1, t_cap=0.0) == TauSample(0.0, True, 1)
+
+
+def test_replicas_validated():
+    g = build_complete(3)
+    for bad in (-1, 2.5, "3", None):
+        with pytest.raises(ValueError, match="replicas"):
+            sample_extinction_times(g, 1.0, None, 1, bad)
+    taus, censored = sample_extinction_times(g, 1.0, None, 1, 0)
+    assert taus.shape == censored.shape == (0,)
+    assert censored.dtype == bool
 
 
 def test_simulate_extinction_keeps_no_graph_alive():
@@ -389,14 +408,14 @@ def test_lit_snapshots_stop_at_extinction():
 def test_kernel_snapshots_draw_nothing():
     cells = [(build_complete(5), 1.0), (build_caterpillar(CaterpillarSpec(2, 4)).graph, 0.3),
              (_small_rgg(), 0.05)]
-    rs = np.random.RandomState()
+    mt = _legacy_mt()
     for g, lam in cells:
         start = _start_state(g.adjacency, _healthy_flags(g.vertex_count, None))
         for cap in (-1.0, 4.0):
             for seed in range(5):
-                plain = _extinction_kernel(g.adjacency, start, lam, cap, rs, seed)
+                plain = _extinction_kernel(g.adjacency, start, lam, cap, mt, seed)
                 snapshots = []
-                recorded = _extinction_kernel(g.adjacency, start, lam, cap, rs, seed,
+                recorded = _extinction_kernel(g.adjacency, start, lam, cap, mt, seed,
                                               snapshots=snapshots, cadence=0.7)
                 assert recorded == plain
                 tau = plain[0]
@@ -472,12 +491,12 @@ def test_audit_every_event_changes_nothing():
     cells = [(build_complete(5), 1.0, -1.0),
              (build_caterpillar(CaterpillarSpec(1, 4)).graph, 1.0, 20.0),
              (_small_rgg(), 0.3, 10.0)]
-    rs = np.random.RandomState()
+    mt = _legacy_mt()
     for g, lam, cap in cells:
         start = _start_state(g.adjacency, _healthy_flags(g.vertex_count, None))
         for seed in range(5):
-            plain = _extinction_kernel(g.adjacency, start, lam, cap, rs, seed)
-            audited = _extinction_kernel(g.adjacency, start, lam, cap, rs, seed, audit_every=1)
+            plain = _extinction_kernel(g.adjacency, start, lam, cap, mt, seed)
+            audited = _extinction_kernel(g.adjacency, start, lam, cap, mt, seed, audit_every=1)
             assert audited == plain
             assert plain[2] > 0
 
@@ -492,11 +511,106 @@ def test_audit_catches_inconsistent_bookkeeping():
     broken = ((k5, start5._replace(pressure=3)),  # S off
               (k5, start5._replace(block=[5], pressure=5)),  # both off, consistent with each other
               (edge, start70._replace(block=[1, 0])))  # block sums off, S right
-    rs = np.random.RandomState()
+    mt = _legacy_mt()
     for g, bad in broken:
         for seed in range(3):
             with pytest.raises(RuntimeError, match="bookkeeping diverged"):
-                _extinction_kernel(g.adjacency, bad, 1.0, -1.0, rs, seed, audit_every=1)
+                _extinction_kernel(g.adjacency, bad, 1.0, -1.0, mt, seed, audit_every=1)
+
+
+def _reference_kernel(g, initial, lam, t_cap, seed, cadence):
+    """The kernel as it drew before it decoded raw words: a legacy
+    RandomState called once per draw, randint(0, k) even for k = 1 (which
+    draws nothing), and a linear target walk.  Returns the kernel's
+    (tau, censored, events) and its snapshots at `cadence`."""
+    rs = np.random.RandomState(seed)
+    adj = g.adjacency
+    healthy = _healthy_flags(g.vertex_count, initial)
+    inf_list = [v for v, h in enumerate(healthy) if not h]
+    nb = [sum(1 for w in adj[v] if not healthy[w]) for v in range(g.vertex_count)]
+    S = sum(h * x for h, x in zip(healthy, nb))
+    horizon = t_cap if t_cap >= 0 else math.inf
+    t, events, snapshots = 0.0, 0, []
+    while inf_list:
+        k = len(inf_list)
+        total = k + lam * S
+        t_next = t - math.log(1.0 - rs.random_sample()) / total
+        while len(snapshots) * cadence <= min(t_next, horizon):
+            snapshots.append((len(snapshots) * cadence, frozenset(inf_list)))
+        if t_next > horizon:
+            return (t_cap, True, events), snapshots
+        t = t_next
+        events += 1
+        if rs.random_sample() * total < k:
+            idx = int(rs.randint(0, k))
+            v = inf_list[idx]
+            inf_list[idx] = inf_list[-1]
+            inf_list.pop()
+            healthy[v] = 1
+            S += nb[v]
+            step = -1
+        else:
+            v = _walk_target(rs.random_sample() * S, healthy, nb)
+            healthy[v] = 0
+            inf_list.append(v)
+            S -= nb[v]
+            step = 1
+        for w in adj[v]:
+            nb[w] += step
+            S += step * healthy[w]
+    return (t, False, events), snapshots
+
+
+def _kernel_run(g, initial, lam, t_cap, seed, cadence):
+    start = _start_state(g.adjacency, _healthy_flags(g.vertex_count, initial))
+    snapshots = []
+    out = _extinction_kernel(g.adjacency, start, lam, t_cap, _legacy_mt(), seed,
+                             snapshots=snapshots, cadence=cadence)
+    return out, snapshots
+
+
+@st.composite
+def _kernel_cells(draw):
+    """k in [1, 70] infected vertices, often just above a power of two where
+    randint(0, k) rejects about half its words, on graphs from no edges to
+    dense ones."""
+    n = draw(st.one_of(st.integers(1, 70), st.sampled_from([3, 5, 9, 17, 33, 65])))
+    p = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0]))
+    pairs = np.argwhere(np.triu(np.random.default_rng(draw(st.integers(0, 99))).random((n, n)) < p, 1))
+    g = Graph.from_edges(n, [tuple(pair) for pair in pairs.tolist()])
+    initial = draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    lam = draw(st.floats(0.01, 3.0)) / max(1, max(len(a) for a in g.adjacency))
+    caps = [-1.0, 0.0, 0.5, 4.0] if p < 0.3 else [0.0, 0.5, 4.0]  # uncapped only when sparse
+    t_cap = draw(st.sampled_from(caps))
+    return g, initial, lam, t_cap
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kernel_cells(), st.one_of(st.integers(0, 2**31 - 1), st.sampled_from([0, 2**31 - 1])),
+       st.sampled_from([6, 7, 13, 256]))
+def test_kernel_draws_the_legacy_random_state_stream(cell, seed, fetch):
+    """Decoded uniforms and slots equal RandomState(seed).random_sample() and
+    .randint(0, k) called in the kernel's order: the replica and every
+    snapshot match.  Fetches of 6 to 13 words make events straddle refills,
+    rejected slot draws included."""
+    g, initial, lam, t_cap = cell
+    with patch.object(contact, "_WORDS_PER_FETCH", fetch):
+        got = _kernel_run(g, initial, lam, t_cap, seed, 0.05)
+    assert got == _reference_kernel(g, initial, lam, t_cap, seed, 0.05)
+
+
+def test_kernel_stream_across_many_refills():
+    # 2486 events on K12: tens of refills at the default fetch of 256 words
+    # and over a thousand at a fetch of seven
+    cells = [(build_complete(12), None, 0.25, 500.0, 3),
+             (Graph.from_edges(65, []), None, 1.0, -1.0, 2**31 - 1),
+             (build_caterpillar(CaterpillarSpec(10, 20)).graph, range(0, 231, 6), 0.03, 5.0, 11)]
+    for g, initial, lam, t_cap, seed in cells:
+        expected = _reference_kernel(g, initial, lam, t_cap, seed, 0.5)
+        assert _kernel_run(g, initial, lam, t_cap, seed, 0.5) == expected
+        with patch.object(contact, "_WORDS_PER_FETCH", 7):
+            assert _kernel_run(g, initial, lam, t_cap, seed, 0.5) == expected
+    assert expected[0][2] > 100
 
 
 def test_golden_extinction_times():
@@ -527,6 +641,22 @@ def test_golden_extinction_times():
         assert got_censored.tolist() == censored
     single = simulate_extinction(small, ContactConfig(0.6, 3.0, seed=2**40 + 9), initial=[1, 2])
     assert repr(single.tau) == "0.3872899436172398" and not single.censored
+    # recorded before the kernel decoded raw MT19937 words: a graph of four
+    # blocks, a replica of 2486 events, and one lit-snapshot run
+    c1020 = build_caterpillar(CaterpillarSpec(10, 20)).graph
+    taus, censored = sample_extinction_times(c1020, 0.03, 5.0, 31, 3, range(0, 231, 6))
+    assert [repr(float(t)) for t in taus] == ["5.0", "5.0", "4.030874852800522"]
+    assert censored.tolist() == [True, True, False]
+    assert [_replica(c1020, ContactConfig(0.03, 5.0, replica_seed(31, i)), range(0, 231, 6))[2]
+            for i in range(3)] == [134, 142, 103]
+    long_run = _replica(build_complete(12), ContactConfig(0.25, 500.0, seed=3), None)
+    assert (repr(long_run[0]), long_run[1:]) == ("168.81846593496877", (False, 2486))
+    lit = lit_snapshots(build_caterpillar(CaterpillarSpec(4, 6)), ContactConfig(0.3, 30.0, seed=8),
+                        cadence=1.5)
+    assert [s.time for s in lit] == [1.5 * j for j in range(17)]
+    assert " ".join("".join("01"[x] for x in s.lit) for s in lit) == (
+        "11111 11110 11101 11101 11111 01101 00101 01110 01110 01100 01100 01000 01000 01000 "
+        "01000 01000 00000")
     after = np.random.get_state()
     assert before[0] == after[0] and np.array_equal(before[1], after[1])
     assert before[2:] == after[2:]
