@@ -13,9 +13,8 @@ from .contact import (ContactConfig, LitSnapshot, TauSample, birth_death_clique_
                       lit_snapshots, record_event_window, sample_extinction_times,
                       simulate_coupled, simulate_extinction, simulate_rate_coupled)
 from .errors import BudgetExceededError
-from .exact import (clique_extinction_rates, exact_clique_extinction,
-                    exact_expected_extinction_ctmc, log_exact_clique_extinction,
-                    sample_clique_extinction_times)
+from .exact import (clique_extinction_rates, exact_expected_extinction_ctmc,
+                    log_exact_clique_extinction, sample_clique_extinction_times)
 from .graphs import (CaterpillarGraph, CaterpillarSpec, Graph, build_caterpillar,
                      build_complete, connected_components, diameter,
                      random_connected_graph)

@@ -57,7 +57,10 @@ def _add_simulate(sub):
     p.add_argument("--graph", help="edge-list file")
     p.add_argument("--complete", type=int, help="use a complete graph of this size")
     p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--t-cap", type=float, default=None)
+    p.add_argument("--t-cap", type=float, default=None,
+                   help="censoring horizon; without one a supercritical run may not finish in any "
+                        "practical time (K30 at lam 0.2 has E[tau] ~ 3.4e11): size it first with "
+                        "geocp.exact.log_exact_clique_extinction")
     p.add_argument("--replicas", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True,

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -134,10 +134,10 @@ def _block_sums(healthy: list[int], nb: list[int]) -> list[int]:
 
 def _start_state(adjacency: Sequence[Sequence[int]], healthy: list[int]) -> _StartState:
     infected = [v for v, h in enumerate(healthy) if not h]
-    nb = [0] * len(adjacency)
-    for v in infected:
+    nb = list(map(len, adjacency))  # count down from the degrees
+    for v in compress(range(len(adjacency)), healthy):
         for w in adjacency[v]:
-            nb[w] += 1
+            nb[w] -= 1
     block = _block_sums(healthy, nb)
     return _StartState(healthy, nb, block, infected, sum(block))
 
@@ -325,7 +325,10 @@ def sample_extinction_times(g: Graph, lam: float, t_cap: float | None, master_se
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Replica fan-out of `simulate_extinction`; replica i runs on seed
     replica_seed(master_seed, i), so results never depend on batching.
-    numpy's global random state is left untouched."""
+    numpy's global random state is left untouched.  Without a t_cap a
+    supercritical run may not finish in any practical time (K30 at
+    lam = 0.2 has E[tau] ~ 3.4e11): size it first with
+    `exact.log_exact_clique_extinction` or the exact CTMC."""
     _check_rates(lam, t_cap)
     if not isinstance(replicas, (int, np.integer)) or replicas < 0:
         raise ValueError("replicas must be a non-negative integer")

@@ -8,15 +8,16 @@ each other and the simulators:
 * the spectral (eigenvalue-sum) representation of the same absorption
   time, which also yields exact-in-distribution samples of extinction
   times far beyond any simulable horizon;
-* an exact solve of the 2^|V|-state jump chain on arbitrary graphs of up
-  to 14 vertices, eliminated one infected-count level at a time with
-  subtraction-free (GTH) diagonals, so it stays exact where E[tau] is huge.
+* an exact solve of the jump chain on arbitrary graphs, lumped to the
+  infected count in each twin class (a twin-free graph keeps all 2^|V|
+  states) and eliminated one infected-count level at a time with
+  subtraction-free (GTH) diagonals, so it stays exact where E[tau] is huge;
+  its budget is the widest level of the lumped chain, not the vertex count.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -24,9 +25,6 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import BudgetExceededError
 from .graphs import Graph
 from .rng import mix64
-
-_MAX_EXP = math.log(sys.float_info.max)
-
 
 def log_exact_clique_extinction(m: int, lam: float) -> float:
     """log E[extinction time] for the infected count on a complete graph of
@@ -51,14 +49,6 @@ def log_exact_clique_extinction(m: int, lam: float) -> float:
             log_h = -math.log(k)
         total = np.logaddexp(total, log_h)
     return float(total)
-
-
-def exact_clique_extinction(m: int, lam: float) -> float:
-    """Linear-space expected extinction time; refuses if it overflows."""
-    lv = log_exact_clique_extinction(m, lam)
-    if lv > _MAX_EXP:
-        raise OverflowError(f"log mean = {lv:.3f} exceeds double range; use the log form")
-    return math.exp(lv)
 
 
 def clique_extinction_rates(m: int, lam: float) -> np.ndarray:
@@ -116,11 +106,55 @@ def sample_clique_extinction_times(m: int, lam: float, count: int, seed: int) ->
     return (-np.log1p(-u) / rates).sum(axis=1)
 
 
+def _twin_classes(adjacency) -> list[list[int]]:
+    """The twin classes of a graph, ordered by smallest member.
+
+    Vertices with the same closed neighbourhood N[v] form a true-twin
+    clique; the rest are grouped by open neighbourhood N(v) into false-twin
+    independent sets and singletons (no vertex has twins of both kinds).
+    """
+    closed: dict[frozenset, list[int]] = {}
+    for v, nbrs in enumerate(adjacency):
+        closed.setdefault(frozenset(nbrs).union((v,)), []).append(v)
+    groups: dict[int | frozenset, list[int]] = {}
+    for members in closed.values():  # in order of smallest member
+        key = members[0] if len(members) > 1 else frozenset(adjacency[members[0]])
+        groups.setdefault(key, []).extend(members)
+    return sorted(groups.values())  # members ascend, and classes are disjoint
+
+
+def _class_adjacency(adjacency, classes: list[list[int]]) -> np.ndarray:
+    """B[i, j] = 1 when the members of class i are joined to those of class
+    j.  Classes are modules, so B is read from one representative per class,
+    and B[j, j] = 1 exactly when class j is a clique of two or more."""
+    label = {v: j for j, members in enumerate(classes) for v in members}
+    B = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    B[[j for j, members in enumerate(classes) for _ in adjacency[members[0]]],
+      [label[w] for members in classes for w in adjacency[members[0]]]] = 1
+    return B
+
+
+def _by_level(row, col, val, first):
+    """Split jumps listed by source in level order (`row`, ascending) into
+    one (row within the level, target rank, rate) triple per level."""
+    cut = np.searchsorted(row, first)
+    return [(row[a:b] - first[k], col[a:b], val[a:b])
+            for k, (a, b) in enumerate(zip(cut[:-1], cut[1:]))]
+
+
 def exact_expected_extinction_ctmc(g: Graph, lam: float, cap: int = 12,
                                    hard_cap: int = 14) -> float:
-    """Expected extinction time from full occupancy of the 2^|V|-state
-    jump chain, solved one infected-count level k at a time, top down.
+    """Expected extinction time from full occupancy of the contact process
+    on g, solved exactly on the jump chain lumped over twin classes.
 
+    Swapping twins leaves the chain unchanged, so it lumps exactly to the
+    count vector c (c_j infected of the s_j vertices of class j; Simon,
+    Taylor & Kiss 2011).  c_j falls by one at rate c_j and rises by one at
+    rate lam (s_j - c_j) (sum of c_i over classes i adjacent to j, plus c_j
+    if j is a clique).  A twin-free graph has singleton classes and keeps
+    all 2^|V| states.
+
+    The chain is solved one infected-count level k at a time, top down.
     G_k (where level k-1 is first entered) and c_k (the mean time to get
     there) solve M_k [G_k | c_k] = [R_k | 1 + U_k c_{k+1}], with R_k and U_k
     the recovery and infection rates out of level k and M_k = k + the
@@ -129,44 +163,67 @@ def exact_expected_extinction_ctmc(g: Graph, lam: float, cap: int = 12,
     Heyman 1985), so the means stay exact when E[tau] is astronomical.
     E[tau] = sum_k pi_k . c_k, pi_k the first-entry law of level k.
 
-    Refuses graphs above `cap` vertices unless the caller raises it, and
-    never accepts more than `hard_cap`: the widest level holds C(n, n/2)^2
-    doubles.
+    The widest level holds w^2 doubles, so graphs whose widest level
+    exceeds w = C(limit, limit // 2), limit = min(cap, hard_cap), are
+    refused before any state is built, and graphs of more than
+    max(limit, 1) twin classes before the class adjacency or the level
+    widths are formed: on a twin-free graph the budget is exactly
+    |V| <= limit.  A negative limit refuses every graph.
     """
     if not 0.0 <= lam < math.inf:
         raise ValueError("lam must be finite and non-negative")
     n = g.vertex_count
     if n == 0:
         return 0.0
+    classes = _twin_classes(g.adjacency)
     limit = min(cap, hard_cap)
-    if n > limit:
-        raise BudgetExceededError(f"{n} vertices exceed the CTMC budget of {limit}")
-    count = np.array([s.bit_count() for s in range(1 << n)], dtype=np.int64)
-    levels = [np.flatnonzero(count == k) for k in range(n + 2)]  # level n+1 is empty
-    rank = np.empty(1 << n, dtype=np.int64)  # index of a mask within its level
-    for states in levels:
-        rank[states] = np.arange(len(states))
-    bits = 1 << np.arange(n, dtype=np.int64)
-    nbr_masks = np.array([sum(1 << w for w in g.adjacency[v]) for v in range(n)], dtype=np.int64)
+    budget = math.comb(limit, limit // 2) if limit >= 0 else 0
+    # the product of the class polynomials dominates (1 + x)^#classes, so the
+    # widest level holds at least C(#classes, #classes // 2) states
+    if len(classes) > max(limit, 1):
+        c = len(classes)
+        raise BudgetExceededError(f"{c} twin classes give a widest level of at least "
+                                  f"C({c}, {c // 2}) states, above the CTMC budget of "
+                                  f"{budget} states for limit {limit}")
+    sizes = np.array([len(members) for members in classes], dtype=np.int64)
+    width = np.ones(1)  # states per level: the product of the class polynomials
+    for s in sizes:
+        width = np.convolve(width, np.ones(s + 1))
+    if width.max() > budget:
+        raise BudgetExceededError(f"the widest level of {width.max():.6g} states exceeds "
+                                  f"the CTMC budget of {budget} states for limit {limit}")
+    B = _class_adjacency(g.adjacency, classes)
+    radix = sizes + 1
+    place = np.cumprod(np.concatenate([[1], radix[:-1]]))
+    counts = np.arange(np.prod(radix))[:, None] // place % radix  # state index -> count vector
+    total = counts.sum(axis=1)
+    order = np.argsort(total, kind="stable")  # the states level by level
+    first = np.searchsorted(total[order], np.arange(n + 3))  # level k: order[first[k]:first[k + 1]]
+    rank = np.empty_like(order)  # index of a state within its level
+    rank[order] = np.arange(len(order)) - first[total[order]]
+    counts = counts[order]  # from here on, in level order
+    row, j = np.nonzero(counts)
+    down = _by_level(row, rank[order[row] - place[j]], counts[row, j], first)
+    rate = (sizes - counts) * (counts @ B)
+    row, j = np.nonzero(rate)
+    up = _by_level(row, rank[order[row] + place[j]], lam * rate[row, j], first)
 
     G_up, c_up = np.zeros((0, 1)), np.zeros(0)
     pi = np.ones(1)
-    total = 0.0
+    mean = 0.0
     for k in range(n, 0, -1):
-        states = levels[k]
-        m = len(states)
-        infected = (states[:, None] & bits) != 0
-        row, v = np.nonzero(infected)
-        R = np.zeros((m, len(levels[k - 1])))
-        R[row, rank[states[row] ^ bits[v]]] = 1.0
-        row, v = np.nonzero(~infected)
-        U = np.zeros((m, len(levels[k + 1])))
-        U[row, rank[states[row] | bits[v]]] = lam * count[states[row] & nbr_masks[v]]
+        m = first[k + 1] - first[k]
+        R = np.zeros((m, first[k] - first[k - 1]))
+        rows, cols, rates = down[k]
+        R[rows, cols] = rates
+        U = np.zeros((m, first[k + 2] - first[k + 1]))
+        rows, cols, rates = up[k]
+        U[rows, cols] = rates
         W = U @ G_up
         np.fill_diagonal(W, 0.0)
         M = np.diag(k + W.sum(axis=1)) - W
         X = np.linalg.solve(M, np.column_stack([R, 1.0 + U @ c_up]))
         G_up, c_up = X[:, :-1], X[:, -1]
-        total += float(pi @ c_up)
+        mean += float(pi @ c_up)
         pi = pi @ G_up
-    return total
+    return mean

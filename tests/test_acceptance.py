@@ -21,8 +21,8 @@ from geocp.bounds import early_extinction_floor, log_extinction_time_bound
 from geocp.contact import (ContactConfig, record_event_window, dual_from_record,
                            forward_from_record, sample_extinction_times,
                            simulate_coupled)
-from geocp.exact import (exact_clique_extinction, exact_expected_extinction_ctmc,
-                         log_exact_clique_extinction, sample_clique_extinction_times)
+from geocp.exact import (exact_expected_extinction_ctmc, log_exact_clique_extinction,
+                         sample_clique_extinction_times)
 from geocp.experiments import ExperimentConfig, battery_graphs, parse_config, run_experiment
 from geocp.graphs import CaterpillarSpec, build_caterpillar, build_complete, random_connected_graph
 from geocp.percolation import (find_long_open_path, full_interval_initial,
@@ -59,9 +59,9 @@ def test_c01_ctmc_oracle_battery():
 def test_c02_clique_closed_forms():
     """exact_clique mean is 2.0 at (2,1) and 1.0 at (1,.) to 12 digits;
     simulation on the 2-clique agrees within 3 SE over 1e5 replicas."""
-    v2 = exact_clique_extinction(2, 1.0)
+    v2 = math.exp(log_exact_clique_extinction(2, 1.0))
     ok12 = abs(v2 - 2.0) <= 1e-12
-    ok1 = all(abs(exact_clique_extinction(1, lam) - 1.0) <= 1e-12
+    ok1 = all(abs(math.exp(log_exact_clique_extinction(1, lam)) - 1.0) <= 1e-12
               for lam in (0.25, 1.0, 4.0))
     taus, cens = sample_extinction_times(build_complete(2), 1.0, None, 7, 100_000)
     se = taus.std(ddof=1) / math.sqrt(len(taus))

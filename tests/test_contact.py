@@ -17,7 +17,7 @@ from geocp.contact import (ContactConfig, TauSample, _block_sums, _extinction_ke
                            dual_from_record, forward_from_record, lit_snapshots,
                            record_event_window, replica_seed, sample_extinction_times,
                            simulate_coupled, simulate_extinction, simulate_rate_coupled)
-from geocp.exact import exact_clique_extinction, exact_expected_extinction_ctmc
+from geocp.exact import exact_expected_extinction_ctmc, log_exact_clique_extinction
 from geocp.experiments import battery_graphs
 from geocp.graphs import (CaterpillarSpec, Graph, build_caterpillar, build_complete,
                           random_connected_graph)
@@ -365,7 +365,7 @@ def test_birth_death_single_vertex():
 
 def test_birth_death_matches_exact_mean():
     m, lam = 30, 0.05  # lam*m = 1.5: weakly supercritical, simulable
-    exact = exact_clique_extinction(m, lam)
+    exact = math.exp(log_exact_clique_extinction(m, lam))
     taus = np.array([birth_death_clique_simulate(m, lam, m, seed=i).tau for i in range(4000)])
     se = taus.std(ddof=1) / math.sqrt(len(taus))
     assert abs(taus.mean() - exact) <= 3 * se
@@ -499,6 +499,23 @@ def test_audit_every_event_changes_nothing():
             audited = _extinction_kernel(g.adjacency, start, lam, cap, mt, seed, audit_every=1)
             assert audited == plain
             assert plain[2] > 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_start_state_matches_the_per_edge_count(data):
+    """Infected-neighbour counts taken down from the degrees equal a
+    per-edge count up from zero, for initial sets of any size."""
+    n = data.draw(st.integers(1, 70))
+    p = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    pairs = np.argwhere(np.triu(np.random.default_rng(data.draw(st.integers(0, 99))).random((n, n)) < p, 1))
+    g = Graph.from_edges(n, [tuple(pair) for pair in pairs.tolist()])
+    k = data.draw(st.one_of(st.integers(0, n), st.sampled_from([n // 2, n // 2 + 1, (n + 1) // 2])))
+    infected = data.draw(st.permutations(range(n)))[:min(k, n)]
+    healthy = _healthy_flags(n, infected)
+    nb = [sum(1 - healthy[w] for w in g.adjacency[v]) for v in range(n)]
+    block = _block_sums(healthy, nb)
+    assert _start_state(g.adjacency, healthy) == (healthy, nb, block, sorted(infected), sum(block))
 
 
 def test_audit_catches_inconsistent_bookkeeping():
