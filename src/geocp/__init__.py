@@ -6,9 +6,7 @@ and duality support, closed-form bounds, and the statistics needed to test
 extinction-time scaling and the unit-exponential metastability limit.
 """
 
-from .bounds import (early_extinction_floor, extinction_time_bound,
-                     log_clique_persistence_time, log_extinction_time_bound,
-                     rgg_log_tau_scale, ruin_probability)
+from .bounds import early_extinction_floor, log_extinction_time_bound, rgg_log_tau_scale
 from .contact import (ContactConfig, LitSnapshot, TauSample, birth_death_clique_simulate,
                       lit_snapshots, record_event_window, sample_extinction_times,
                       simulate_coupled, simulate_extinction, simulate_rate_coupled)
@@ -16,8 +14,7 @@ from .errors import BudgetExceededError
 from .exact import (clique_extinction_rates, exact_expected_extinction_ctmc,
                     log_exact_clique_extinction, sample_clique_extinction_times)
 from .graphs import (CaterpillarGraph, CaterpillarSpec, Graph, build_caterpillar,
-                     build_complete, connected_components, diameter,
-                     random_connected_graph)
+                     build_complete, random_connected_graph)
 from .percolation import (EdgeTrack, OrientedRun, SiteGrid, find_long_open_path,
                           full_interval_initial, glue_plane_paths,
                           longest_open_path_exact, op_exact_survival,
@@ -26,7 +23,6 @@ from .percolation import (EdgeTrack, OrientedRun, SiteGrid, find_long_open_path,
 from .rgg import (CaterpillarEmbedding, GeometryConfig, PointCloud, build_rgg,
                   build_rgg_bruteforce, discretize_boxes, embedding_is_valid,
                   find_caterpillar_embedding, sample_poisson_points)
-from .stats import (SampleSummary, SurvivalCurve, TauBatch, fit_loglinear,
-                    ks_to_exp1, survival_curve)
+from .stats import SampleSummary, TauBatch, fit_loglinear, ks_to_exp1
 
 __version__ = "0.1.0"

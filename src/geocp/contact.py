@@ -354,7 +354,6 @@ def sample_extinction_times(g: Graph, lam: float, t_cap: float | None, master_se
 # ---------------------------------------------------------------------------
 
 _RECOVERY = 0
-_INFECTION = 1
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import BudgetExceededError
 from .graphs import Graph
 from .rng import mix64
+
+
+def _check_lam(lam: float) -> None:
+    """Written so that NaN fails the check."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lam must be finite and non-negative")
+
 
 def log_exact_clique_extinction(m: int, lam: float) -> float:
     """log E[extinction time] for the infected count on a complete graph of
@@ -37,8 +43,7 @@ def log_exact_clique_extinction(m: int, lam: float) -> float:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    _check_lam(lam)
     log_h = -math.log(m)  # h_m = 1/m
     total = log_h
     for k in range(m - 1, 0, -1):
@@ -57,19 +62,20 @@ def clique_extinction_rates(m: int, lam: float) -> np.ndarray:
     The absorption time from full occupancy is distributed as the sum of m
     independent exponentials with these rates, so they give both exact
     moments and exact samples.  Rates come from the symmetrized tridiagonal
-    form; in metastable regimes the escape rate sits exponentially far
-    below the dense-solver error floor, so the smallest rate is recovered
-    instead from the exact log-space mean through the rate-sum identity
-    sum_i 1/rate_i = E[absorption time].
+    form, solved as a dense symmetric matrix; in metastable regimes the
+    escape rate sits exponentially far below the dense-solver error floor,
+    so the smallest rate is recovered instead from the exact log-space mean
+    through the rate-sum identity sum_i 1/rate_i = E[absorption time].
     """
     if m < 1:
         raise ValueError("m must be positive")
+    _check_lam(lam)
     k = np.arange(1, m + 1, dtype=float)
     up = lam * k * (m - k)  # up[m-1] = 0
     down = k
     diag = -(up + down)
     off = np.sqrt(up[:-1] * down[1:])
-    evals = eigh_tridiagonal(diag, off, eigvals_only=True)
+    evals = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     rates = np.sort(-evals)
     if m == 1:
         return np.array([1.0])
@@ -100,6 +106,7 @@ def sample_clique_extinction_times(m: int, lam: float, count: int, seed: int) ->
     astronomically many events."""
     if count < 0:
         raise ValueError("count must be non-negative")
+    _check_lam(lam)
     rates = clique_extinction_rates(m, lam)
     rng = np.random.default_rng(mix64(seed, 0x50485459))
     u = rng.random((count, m))
@@ -170,8 +177,7 @@ def exact_expected_extinction_ctmc(g: Graph, lam: float, cap: int = 12,
     widths are formed: on a twin-free graph the budget is exactly
     |V| <= limit.  A negative limit refuses every graph.
     """
-    if not 0.0 <= lam < math.inf:
-        raise ValueError("lam must be finite and non-negative")
+    _check_lam(lam)
     n = g.vertex_count
     if n == 0:
         return 0.0

@@ -68,9 +68,6 @@ class Graph:
         ends = np.cumsum(np.bincount(key // n, minlength=n)).tolist()
         return cls(tuple(tuple(flat[s:e]) for s, e in zip([0] + ends[:-1], ends)))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -203,38 +200,6 @@ def _components(adjacency) -> list[list[int]]:
             seen.update(comps[-1])
     comps.sort(key=len, reverse=True)  # stable: equal sizes stay by smallest id
     return comps
-
-
-def connected_components(g: Graph) -> list[set[int]]:
-    """Vertex sets of the connected components, largest first.
-
-    Ties broken by smallest contained vertex id, so output is deterministic.
-    """
-    return [set(c) for c in _components(g.adjacency)]
-
-
-def diameter(g: Graph, component: Iterable[int], exact: bool = True) -> int:
-    """Diameter of the subgraph induced by `component`.
-
-    Exact mode runs a BFS from every vertex; exact=False returns the
-    double-sweep lower bound.  Disconnected inputs are rejected.
-    """
-    comp = set(component)
-    if not comp:
-        raise ValueError("component must be non-empty")
-    sub = {v: [w for w in g.adjacency[v] if w in comp] for v in comp}
-
-    def depths(source: int) -> dict:
-        return _depths(_bfs(sub, [source])[0])
-
-    first = depths(min(comp))
-    if len(first) != len(comp):
-        raise ValueError("component is not connected")
-    far = max(first, key=lambda v: (first[v], v))
-    lower = max(depths(far).values())
-    if not exact:
-        return lower
-    return max(max(depths(v).values()) for v in comp)
 
 
 def random_connected_graph(vertex_count: int, extra_edges: int, seed: int) -> Graph:

@@ -372,6 +372,8 @@ def _route(adj: dict, sources, targets, blocked=()) -> list | None:
 
 def has_crossing(grid: SiteGrid, axis: int = 0) -> bool:
     """True when an open path joins the two opposite faces along `axis`."""
+    if not 0 <= axis < len(grid.dims):
+        raise ValueError(f"axis must lie in 0..{len(grid.dims) - 1}, not {axis}")
     _, adj = _open_adjacency(grid.open)
     along = np.argwhere(grid.open)[:, axis]
     sources = np.flatnonzero(along == 0).tolist()
@@ -786,47 +788,6 @@ def op_survival_frequency(ell: int, q: float, t: int, replicas: int, seed: int,
     _, extinct_at = _simulate_batch(ell, q, t, replicas, seed, init)
     freq = float((extinct_at > t).mean())
     return freq, _binomial_se(freq, replicas)
-
-
-@dataclass(frozen=True)
-class MidDensityEstimate:
-    beta: float
-    step: int
-    threshold: float
-    window: tuple[int, int]
-    estimate: float
-    se: float
-    wilson: tuple[float, float]
-    replicas: int
-
-
-def op_mid_density_multi(ell: int, q: float, step: int, betas: Sequence[float],
-                         replicas: int, seed: int) -> list[MidDensityEstimate]:
-    """Empirical P(|eta_step restricted to the centered beta-window| >=
-    3*beta*ell/4) from full start, one simulated batch shared by all betas
-    so the estimates are coupled."""
-    from .stats import wilson_interval
-
-    if replicas < 1:
-        raise ValueError("need at least one replica")
-    for beta in betas:
-        if not (0.0 < beta <= 1.0):
-            raise ValueError("beta must lie in (0, 1]")
-    occ, _ = _simulate_batch(ell, q, step, replicas, seed, full_interval_initial(ell))
-    out = []
-    for beta in betas:
-        lo = (1.0 - beta) * ell / 2.0
-        hi = (1.0 + beta) * ell / 2.0
-        lo_i = math.ceil(lo - 1e-12)
-        hi_i = math.floor(hi + 1e-12)
-        threshold = 3.0 * beta * ell / 4.0
-        counts = occ[:, lo_i:hi_i + 1].sum(axis=1)
-        hits = int((counts >= threshold).sum())
-        est = hits / replicas
-        out.append(MidDensityEstimate(beta, step, threshold, (lo_i, hi_i), est,
-                                      _binomial_se(est, replicas),
-                                      wilson_interval(hits, replicas), replicas))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def ks_to_exp1(sample: Sequence[float]) -> float:
     n = x.size
     if n == 0:
         raise ValueError("empty sample")
-    if np.any(x < 0):
+    if not np.all(x >= 0):  # NaN fails too
         raise ValueError("normalized sample must be non-negative")
     cdf = 1.0 - np.exp(-x)
     upper = np.arange(1, n + 1) / n - cdf
@@ -103,69 +103,3 @@ def fit_loglinear(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, floa
     else:
         r2 = 1.0 - ss_res / ss_tot
     return slope, intercept, r2
-
-
-@dataclass(frozen=True)
-class SurvivalCurve:
-    """Product-limit estimate of P(tau > t) as a right-continuous step function.
-
-    `times` are the distinct event times, `survival[i]` the estimate just
-    after times[i].  `defined_until` is the largest follow-up time; the
-    curve is undefined beyond it when the last observation was censored.
-    """
-
-    times: tuple[float, ...]
-    survival: tuple[float, ...]
-    defined_until: float
-
-    def probability(self, t: float) -> float:
-        if t > self.defined_until:
-            raise ValueError(f"curve undefined beyond t={self.defined_until:g}")
-        p = 1.0
-        for ti, si in zip(self.times, self.survival):
-            if ti <= t:
-                p = si
-            else:
-                break
-        return p
-
-
-def survival_curve(values: Sequence[float], censored: Sequence[bool]) -> SurvivalCurve:
-    """Kaplan-Meier estimator; equals the empirical survival function when
-    nothing is censored."""
-    obs = sorted(zip(values, censored))
-    n = len(obs)
-    if n == 0:
-        return SurvivalCurve((), (), 0.0)
-    at_risk = n
-    surv = 1.0
-    times: list[float] = []
-    ests: list[float] = []
-    i = 0
-    while i < n:
-        t = obs[i][0]
-        deaths = 0
-        drops = 0
-        while i < n and obs[i][0] == t:
-            if obs[i][1]:
-                drops += 1
-            else:
-                deaths += 1
-            i += 1
-        if deaths > 0:
-            surv *= 1.0 - deaths / at_risk
-            times.append(t)
-            ests.append(surv)
-        at_risk -= deaths + drops
-    return SurvivalCurve(tuple(times), tuple(ests), obs[-1][0])
-
-
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    if trials <= 0:
-        raise ValueError("need at least one trial")
-    p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)

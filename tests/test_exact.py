@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -82,6 +84,25 @@ def test_ctmc_rejects_bad_rates():
     for lam in (-0.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="lam"):
             exact_expected_extinction_ctmc(build_complete(3), lam)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+def test_clique_routes_reject_bad_lam(lam):
+    # NaN once gave the lam = 0 answer, and inf an infinite log mean
+    calls = [lambda: log_exact_clique_extinction(5, lam),
+             lambda: clique_extinction_rates(5, lam),
+             lambda: sample_clique_extinction_times(5, lam, 3, 0),
+             lambda: exact_expected_extinction_ctmc(build_complete(5), lam)]
+    for call in calls:
+        with pytest.raises(ValueError, match="lam must be finite and non-negative"):
+            call()
+
+
+def test_import_geocp_loads_no_scipy():
+    # scipy is a test-only dependency; geocp itself needs numpy alone
+    code = "import sys, geocp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_ctmc_hard_cap_refuses_before_allocating(monkeypatch):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from geocp.graphs import (CaterpillarSpec, Graph, build_caterpillar, build_complete,
-                          connected_components, diameter, from_edge_list_text,
-                          random_connected_graph, to_edge_list_text)
+from geocp.graphs import (CaterpillarSpec, Graph, _components, build_caterpillar,
+                          build_complete, from_edge_list_text, random_connected_graph,
+                          to_edge_list_text)
+from graph_helpers import diameter
 
 
 def test_complete_counts():
@@ -44,8 +45,7 @@ def test_caterpillar_closed_forms_and_connectivity():
             cat.graph.validate()
             assert cat.graph.vertex_count == (ell + 1) * (m + 1)
             assert cat.graph.edge_count == ell + (ell + 1) * (m + m * (m - 1) // 2)
-            comps = connected_components(cat.graph)
-            assert len(comps) == 1
+            assert len(_components(cat.graph.adjacency)) == 1
 
 
 def test_caterpillar_labels_retrievable():
@@ -69,9 +69,9 @@ def test_caterpillar_diameter_exhaustive():
 
 def test_connected_components_cases():
     g = Graph.from_edges(3, [(0, 1)])
-    assert connected_components(g) == [{0, 1}, {2}]
-    assert connected_components(Graph.from_edges(0, [])) == []
-    assert connected_components(build_complete(5)) == [{0, 1, 2, 3, 4}]
+    assert _components(g.adjacency) == [[0, 1], [2]]
+    assert _components(Graph.from_edges(0, []).adjacency) == []
+    assert _components(build_complete(5).adjacency) == [[0, 1, 2, 3, 4]]
 
 
 def test_diameter_cases():
@@ -99,7 +99,7 @@ def test_random_connected_graph_properties():
         n = 3 + seed % 5
         g = random_connected_graph(n, seed % 3, seed)
         g.validate()
-        assert len(connected_components(g)) == 1
+        assert len(_components(g.adjacency)) == 1
         assert g.edge_count >= n - 1
 
 

@@ -10,8 +10,7 @@ import pytest
 from geocp.errors import BudgetExceededError
 from geocp.percolation import (FirstPassage, _class_transition, _simulate_batch, arrow_open,
                                full_interval_initial, op_exact_survival, op_extinction_profile_exact,
-                               op_first_passage, op_mid_density_multi, op_run,
-                               op_survival_frequency)
+                               op_first_passage, op_run, op_survival_frequency)
 from geocp.rng import derive_seed
 
 
@@ -231,8 +230,6 @@ def test_batch_replica_is_op_run_on_its_derived_seed(ell, q, start):
     pytest.param(op_survival_frequency, [(4, 1.5, 2, 100, 1), (4, 0.5, -1, 100, 1),
                                          (-2, 0.5, 2, 100, 1), (4, math.nan, 2, 100, 1)],
                  id="op_survival_frequency"),
-    pytest.param(op_mid_density_multi, [(4, 1.5, 2, [0.5], 100, 1), (4, 0.5, -3, [0.5], 100, 1),
-                                        (-2, 0.5, 2, [0.5], 100, 1)], id="op_mid_density_multi"),
     pytest.param(op_extinction_profile_exact, [(-3, 0.5), (4, 1.5), (4, math.nan)],
                  id="op_extinction_profile_exact"),
 ])
@@ -286,18 +283,6 @@ def test_edge_track_consistency():
                                       zip(run_x.track.left, run_x.track.right)):
         if l_x is not None:
             assert l_f <= l_x and r_f >= r_x
-
-
-def test_mid_density_degenerate_and_monotone():
-    with pytest.raises(ValueError):
-        op_mid_density_multi(4, 0.5, 2, [0.5], 0, 1)
-    # ell=2, beta=1, q=1: window [0,2] holds both even sites, threshold 1.5
-    est = op_mid_density_multi(2, 1.0, 4, [1.0], 200, 5)[0]
-    assert est.estimate == 1.0
-    ests = op_mid_density_multi(20, 0.95, 64, [0.3, 0.5, 0.7], 1500, 3)
-    vals = [e.estimate for e in ests]
-    assert vals == sorted(vals, reverse=True)  # coupled batch, shrinking event
-    assert all(0.0 <= e.wilson[0] <= e.wilson[1] <= 1.0 for e in ests)
 
 
 def test_extinction_profile_exact_vs_simulation():

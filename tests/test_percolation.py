@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from geocp.errors import BudgetExceededError
-from geocp.graphs import (CaterpillarSpec, Graph, build_caterpillar, build_complete,
-                          connected_components, diameter, random_connected_graph)
+from geocp.graphs import (CaterpillarSpec, Graph, _components, build_caterpillar,
+                          build_complete, random_connected_graph)
 from geocp.percolation import (SiteGrid, crossing_frequency, find_long_open_path,
                                glue_plane_paths, grid_from_field,
                                has_crossing, longest_open_path_exact, path_is_valid,
                                path_to_text, sample_site_grid, sample_uniform_field)
 from geocp.rgg import GeometryConfig, find_caterpillar_embedding, sample_poisson_points
+from graph_helpers import diameter
 
 
 def test_site_grid_degenerate_p():
@@ -82,6 +83,15 @@ def test_crossing_probability_monotone():
     assert lo < hi
     assert has_crossing(sample_site_grid((6, 6), 1.0, 0))
     assert not has_crossing(sample_site_grid((6, 6), 0.0, 0))
+
+
+def test_crossing_rejects_bad_axis():
+    grid = sample_site_grid((6, 6), 1.0, 0)
+    for axis in (2, 5, -1):
+        with pytest.raises(ValueError, match="axis"):
+            has_crossing(grid, axis)
+    with pytest.raises(ValueError, match="axis"):
+        crossing_frequency((6, 6), 0.5, 3, 0, axis=5)
 
 
 def test_glue_full_grid_beats_single_plane():
@@ -169,7 +179,7 @@ def test_site_percolation_golden():
     graphs.append(random_connected_graph(10, 2, 5))
     structure = []
     for g in graphs:
-        comps = connected_components(g)
+        comps = _components(g.adjacency)
         structure.append([sorted(c) for c in comps])
         structure.append([(diameter(g, c), diameter(g, c, exact=False)) for c in comps])
     record = {"path_lengths": [len(p) for p in paths], "paths": _digest(paths),

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geocp.stats import (TauBatch, fit_loglinear, ks_to_exp1,
-                         survival_curve, wilson_interval)
+from geocp.stats import TauBatch, fit_loglinear, ks_to_exp1
 
 
 def test_ks_exact_quantile_sample():
@@ -24,6 +23,11 @@ def test_ks_point_mass_at_zero():
     assert ks_to_exp1([0.0]) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         ks_to_exp1([])
+
+
+def test_ks_rejects_nan():
+    with pytest.raises(ValueError, match="non-negative"):
+        ks_to_exp1([math.nan, 1.0])
 
 
 def _unit_exponentials(count, seed):
@@ -68,32 +72,6 @@ def test_fit_loglinear_rejects_degenerate():
         fit_loglinear([2, 2, 2], [1, 2, 3])
 
 
-def test_survival_curve_empirical():
-    curve = survival_curve([1.0, 2.0, 3.0], [False, False, False])
-    assert curve.probability(2.0) == pytest.approx(1 / 3)
-    assert curve.probability(0.5) == 1.0
-    assert curve.probability(3.0) == 0.0
-
-
-def test_survival_curve_all_censored():
-    curve = survival_curve([5.0, 5.0], [True, True])
-    assert curve.probability(4.9) == 1.0
-    assert curve.defined_until == 5.0
-    with pytest.raises(ValueError):
-        curve.probability(5.1)
-
-
-def test_survival_curve_matches_empirical_prefix():
-    # censoring after every observed event: estimator equals the empirical
-    # survival on the uncensored prefix
-    values = [1.0, 2.0, 3.0, 10.0, 10.0]
-    cens = [False, False, False, True, True]
-    curve = survival_curve(values, cens)
-    assert curve.probability(1.0) == pytest.approx(4 / 5)
-    assert curve.probability(2.5) == pytest.approx(3 / 5)
-    assert curve.probability(3.0) == pytest.approx(2 / 5)
-
-
 def test_tau_batch_merge_order_independent():
     a, b, c = TauBatch(), TauBatch(), TauBatch()
     for i, batch in enumerate((a, b, c)):
@@ -113,12 +91,3 @@ def test_summary_moments():
     assert s.mean == pytest.approx(2.5)
     assert s.se == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2)
     assert s.quantiles[1] == pytest.approx(2.5)
-
-
-def test_wilson_interval_basis():
-    lo, hi = wilson_interval(50, 100)
-    assert lo < 0.5 < hi
-    lo0, hi0 = wilson_interval(0, 20)
-    assert lo0 == 0.0 and hi0 > 0.0
-    with pytest.raises(ValueError):
-        wilson_interval(1, 0)
