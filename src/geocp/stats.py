@@ -81,21 +81,24 @@ def ks_to_exp1(sample: Sequence[float]) -> float:
 def fit_loglinear(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
     """Ordinary least squares fit y = slope*x + intercept.
 
-    Returns (slope, intercept, r_squared); exact on collinear input.  A
-    residual-free fit of constant data has zero variance on both sides; we
-    define its r_squared as 1.
+    Returns (slope, intercept, r_squared) as floats; exact on collinear
+    input.  A residual-free fit of constant data has zero variance on both
+    sides; we define its r_squared as 1.  Non-finite xs or ys raise
+    ValueError.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size < 3:
         raise ValueError("need at least three points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("xs and ys must be finite")
     if np.all(x == x[0]):
         raise ValueError("xs are all equal: slope undefined")
     xm, ym = x.mean(), y.mean()
     sxx = float(((x - xm) ** 2).sum())
     sxy = float(((x - xm) * (y - ym)).sum())
     slope = sxy / sxx
-    intercept = ym - slope * xm
+    intercept = float(ym - slope * xm)
     ss_res = float(((y - slope * x - intercept) ** 2).sum())
     ss_tot = float(((y - ym) ** 2).sum())
     if ss_tot == 0.0:

@@ -199,8 +199,8 @@ def test_cli_simulate_seed_column_reruns_each_row(tmp_path):
         assert s.censored == (censored == "true")
 
 
-def test_d1_regimes_independent_of_hash_seed(tmp_path):
-    """Replica seeds must not depend on Python's per-process string hashing."""
+def _outputs_under_hash_seeds(tmp_path, name):
+    """Output files of configs/suite/<name>.cfg run under PYTHONHASHSEED 1 and 2."""
     root = Path(__file__).resolve().parents[1]
     outputs = []
     for hash_seed in ("1", "2"):
@@ -209,11 +209,23 @@ def test_d1_regimes_independent_of_hash_seed(tmp_path):
                    PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
                                                             os.environ.get("PYTHONPATH")])))
         subprocess.run([sys.executable, "-m", "geocp.cli", "experiment",
-                        "--config", str(root / "configs/suite/d1-regimes.cfg"),
+                        "--config", str(root / f"configs/suite/{name}.cfg"),
                         "--out-dir", str(out_dir), "--workers", "1"],
                        env=env, check=True, capture_output=True, timeout=300)
         outputs.append({f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
-    assert sorted(outputs[0]) == ["d1-regimes.csv", "d1-regimes_summary.json"]
+    assert sorted(outputs[0]) == [f"{name}.csv", f"{name}_summary.json"]
+    return outputs
+
+
+def test_d1_regimes_independent_of_hash_seed(tmp_path):
+    """Replica seeds must not depend on Python's per-process string hashing."""
+    outputs = _outputs_under_hash_seeds(tmp_path, "d1-regimes")
+    assert outputs[0] == outputs[1]
+
+
+def test_rgg_tau_independent_of_hash_seed(tmp_path):
+    """Nor may rgg-tau's outputs, whose graphs come from build_rgg."""
+    outputs = _outputs_under_hash_seeds(tmp_path, "rgg-tau")
     assert outputs[0] == outputs[1]
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geocp.graphs import (CaterpillarSpec, Graph, _components, build_caterpillar,
                           build_complete, from_edge_list_text, random_connected_graph,
@@ -119,6 +121,44 @@ def test_from_edges_input_forms():
     assert Graph.from_edges(0, np.empty((0, 2), dtype=np.int64)).vertex_count == 0
     assert Graph.from_edges(0, []).adjacency == ()
     assert Graph.from_edges(1, []).adjacency == ((),)
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, pairs): pairs among vertices base..n-1, with duplicates and
+    reversed pairs; base 1000 puts the ids past CPython's small-int cache."""
+    base = draw(st.sampled_from([0, 1000]))
+    k = draw(st.integers(2, 24))
+    pairs = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=80))
+    pairs += [(b, a) for a, b in pairs[::3]] + pairs[::4]
+    return base + k, [(base + a, base + b) for a, b in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edge_lists())
+def test_from_edges_matches_a_set_reference(case):
+    n, pairs = case
+    ref = [set() for _ in range(n)]
+    for a, b in pairs:
+        ref[a].add(b)
+        ref[b].add(a)
+    expected = tuple(tuple(sorted(nbrs)) for nbrs in ref)
+    arrays = [np.array(pairs, dtype=dt).reshape(-1, 2) for dt in (np.int64, np.int32, np.uint16)]
+    copies = [arr.copy() for arr in arrays]
+    for form in arrays + [pairs, (p for p in pairs)]:
+        adj = Graph.from_edges(n, form).adjacency
+        assert adj == expected
+        assert all(type(w) is int for nbrs in adj for w in nbrs)
+        # one shared int object per vertex id
+        assert len({id(w) for nbrs in adj for w in nbrs}) == len({w for nbrs in adj for w in nbrs})
+    for arr, copy in zip(arrays, copies):
+        assert arr.dtype == copy.dtype and np.array_equal(arr, copy)
+
+
+def test_build_complete_shares_one_int_per_vertex():
+    adj = build_complete(300).adjacency
+    assert len({id(w) for nbrs in adj for w in nbrs}) == 300
 
 
 def test_from_edges_rejects_bad_edges():

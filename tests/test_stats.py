@@ -53,6 +53,7 @@ def test_ks_normalization_invariance():
 
 def test_fit_loglinear_exact():
     slope, intercept, r2 = fit_loglinear([1, 2, 3], [2, 4, 6])
+    assert all(type(v) is float for v in (slope, intercept, r2))
     assert slope == pytest.approx(2.0, abs=1e-12)
     assert intercept == pytest.approx(0.0, abs=1e-12)
     assert r2 == pytest.approx(1.0, abs=1e-12)
@@ -70,6 +71,15 @@ def test_fit_loglinear_rejects_degenerate():
         fit_loglinear([1, 2], [1, 2])
     with pytest.raises(ValueError):
         fit_loglinear([2, 2, 2], [1, 2, 3])
+
+
+@pytest.mark.parametrize("xs, ys", [([math.nan, 1, 2], [1, 2, 3]),
+                                    ([0, 1, 2], [1, math.nan, 3]),
+                                    ([0, math.inf, 2], [1, 2, 3]),
+                                    ([0, 1, 2], [1, 2, -math.inf])])
+def test_fit_loglinear_rejects_non_finite(xs, ys):
+    with pytest.raises(ValueError, match="finite"):
+        fit_loglinear(xs, ys)
 
 
 def test_tau_batch_merge_order_independent():
