@@ -99,6 +99,9 @@ def clique_extinction_rates(m: int, lam: float) -> np.ndarray:
     return rates
 
 
+_SAMPLE_BLOCK = 1 << 16  # uniforms per block of sample_clique_extinction_times
+
+
 def sample_clique_extinction_times(m: int, lam: float, count: int, seed: int) -> np.ndarray:
     """Exact-in-distribution extinction-time samples for the full-start
     complete graph, drawn as sums of independent exponentials with the
@@ -109,8 +112,18 @@ def sample_clique_extinction_times(m: int, lam: float, count: int, seed: int) ->
     _check_lam(lam)
     rates = clique_extinction_rates(m, lam)
     rng = np.random.default_rng(mix64(seed, 0x50485459))
-    u = rng.random((count, m))
-    return (-np.log1p(-u) / rates).sum(axis=1)
+    out = np.empty(count)
+    rows = max(1, _SAMPLE_BLOCK // m)
+    for lo in range(0, count, rows):
+        # the generator fills sequentially, so the blocks draw what one
+        # (count, m) array would; each becomes -log1p(-u) / rates in place
+        u = rng.random((min(rows, count - lo), m))
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        u /= rates
+        u.sum(axis=1, out=out[lo:lo + len(u)])
+    return out
 
 
 def _twin_classes(adjacency) -> list[list[int]]:

@@ -17,7 +17,10 @@ Conventions used throughout:
 * the long-path polish keeps its path in a plain list, so a Posa rotation
   is a slice reversal and a head's rotation candidates are found with
   list.index, in adjacency order, over the last _NEAR_HEAD positions
-  first, where the pivots mostly sit;
+  first, where the pivots mostly sit.  Step s rotates with mix64(salt, s),
+  drawn _HASH_BLOCK steps at a time through `mix64_array`, and the polish
+  stops as soon as every site of the start's cluster is visited, after
+  which no head can extend and the best path cannot change;
 * every oriented-percolation run steps through `_op_step`, which hashes a
   whole step's arrows at once for any number of replicas; replica r of a
   batch runs on the field of derive_seed(seed, r), so it is exactly the
@@ -28,7 +31,12 @@ Conventions used throughout:
   `_transfer_matrices`, under one budget of _EXACT_EVEN_SITES = 10 even
   sites, i.e. ell <= 19.  The profile reads its mean (GTH state reduction)
   and its median (the survival stepped to its quasi-stationary regime,
-  then a geometric tail pinned by that mean) from the same matrices.
+  then a geometric tail pinned by that mean) from the same matrices;
+* the GTH reduction censors states in panels of _GTH_PANEL and adds each
+  panel's products to the trailing block in one `np.einsum`, not `@`:
+  under matmul the ell = 16, q = 0.7 mean changed in its last bit between
+  one and two OpenBLAS threads, and einsum's own loop gives the same bytes
+  under any thread count.
 """
 
 from __future__ import annotations
@@ -62,6 +70,8 @@ class SiteGrid:
             raise ValueError("dims must be positive")
         if tuple(self.open.shape) != tuple(self.dims):
             raise ValueError("open field shape does not match dims")
+        if self.open.dtype != bool:
+            raise ValueError(f"open field must be a bool array, not {self.open.dtype}")
 
 
 def sample_uniform_field(dims: Sequence[int], seed: int) -> np.ndarray:
@@ -157,20 +167,20 @@ def _dfs_deep_path(order, start: int) -> list[int]:
     """
     parent = [-2] * len(order)
     parent[start] = -1
-    iters = {start: iter(order[start])}
-    stack = [start]
+    stack = [start]  # the current chain, with the neighbor iterator of each
+    iters = [iter(order[start])]
     deepest, best_depth = start, 1
-    while stack:
-        v = stack[-1]
-        w = next(iters[v], None)
-        if w is None:
+    while iters:
+        for w in iters[-1]:
+            if parent[w] == -2:
+                break
+        else:
+            iters.pop()
             stack.pop()
             continue
-        if parent[w] != -2:
-            continue
-        parent[w] = v
-        iters[w] = iter(order[w])
+        parent[w] = stack[-1]
         stack.append(w)
+        iters.append(iter(order[w]))
         if len(stack) > best_depth:
             best_depth = len(stack)
             deepest = w
@@ -182,57 +192,71 @@ def _dfs_deep_path(order, start: int) -> list[int]:
 
 
 _NEAR_HEAD = 256  # path positions next to the head searched before the whole path
+_HASH_BLOCK = 256  # rotation hashes drawn per mix64_array call
 
 
-def _position(path: list[int], v: int) -> int:
-    """Index of v in the path, whose vertices are unique."""
-    try:
-        return path.index(v, max(0, len(path) - _NEAR_HEAD))
-    except ValueError:
-        return path.index(v)
-
-
-def _polish(path: list[int], adj, n_sites: int, salt: int, failure_budget: int,
-            max_steps: int) -> list[int]:
+def _polish(path: list[int], adj, n_sites: int, comp_size: int, salt: int,
+            failure_budget: int, max_steps: int) -> list[int]:
     """Extend both ends of the simple path greedily, re-pointing stuck heads
     with random Posa rotations and burning hopeless pendant heads; returns
     the best path seen within the budgets.
 
     A rotation picks a path vertex v adjacent to the head and reverses the
-    segment after v, which turns v's successor into the new head.  A burned
-    head leaves the path but stays visited, so it is never re-entered.
+    segment after v, which turns v's successor into the new head; step s
+    picks with mix64(salt, s).  A burned head leaves the path but stays
+    visited, so it is never re-entered.  Once all `comp_size` sites of the
+    path's cluster are visited no head can extend again, so the search stops.
     """
     visited = bytearray(n_sites)
     on_path = bytearray(n_sites)
     for v in path:
         visited[v] = on_path[v] = 1
+    n_visited = len(path)
     best = list(path)
+    hash_from = hash_to = 0  # hashes[j] is mix64(salt, hash_from + j)
     steps = 0
     failures = 0
-    while steps < max_steps and failures < failure_budget:
+    while steps < max_steps and failures < failure_budget and n_visited < comp_size:
         steps += 1
         if steps % 2 == 0:
             path.reverse()
-        if _greedy_extend(path, visited, on_path, adj):
-            failures = 0
-            if len(path) > len(best):
-                best = list(path)
+        head = path[-1]
+        for w in adj[head]:
+            if not visited[w]:
+                break
+        else:
+            # pivots: the head's path neighbors other than its predecessor,
+            # looked up next to the head first
+            pred = path[-2] if len(path) > 1 else -1
+            near = max(0, len(path) - _NEAR_HEAD)
+            cands = []
+            for v in adj[head]:
+                if on_path[v] and v != pred:
+                    try:
+                        cands.append(path.index(v, near))
+                    except ValueError:
+                        cands.append(path.index(v))
+            failures += 1
+            if cands:
+                if steps >= hash_to:
+                    hash_from, hash_to = steps, steps + _HASH_BLOCK
+                    hashes = mix64_array(salt, np.arange(hash_from, hash_to)).tolist()
+                i = cands[hashes[steps - hash_from] % len(cands)]
+                path[i + 1:] = path[:i:-1]
+            elif len(path) > 1:
+                on_path[path.pop()] = 0
             continue
-        # pivots: the head's path neighbors other than its predecessor
-        pred = path[-2] if len(path) > 1 else -1
-        cands = [_position(path, v) for v in adj[path[-1]] if on_path[v] and v != pred]
-        failures += 1
-        if cands:
-            i = cands[mix64(salt, steps) % len(cands)]
-            path[i + 1:] = path[:i:-1]
-        elif len(path) > 1:
-            on_path[path.pop()] = 0
+        n_visited += _greedy_extend(path, visited, on_path, adj)
+        failures = 0
+        if len(path) > len(best):
+            best = list(path)
     return best
 
 
-def _grow_from(start: int, adj, orders, n_sites: int, salt: int = 0,
+def _grow_from(start: int, adj, orders, n_sites: int, comp_size: int, salt: int = 0,
                failure_budget: int = 400) -> list[int]:
-    """`orders` holds the neighbor lists sorted ascending, then descending."""
+    """`orders` holds the neighbor lists sorted ascending, then descending;
+    `comp_size` counts the open cluster of `start`."""
     max_steps = 25 * n_sites + 2000
     best: list[int] = [start]
     # double sweep: deep DFS chain, then a second DFS from its far end
@@ -240,7 +264,7 @@ def _grow_from(start: int, adj, orders, n_sites: int, salt: int = 0,
         first = _dfs_deep_path(order, start)
         second = _dfs_deep_path(order, first[-1])
         seedpath = second if len(second) > len(first) else first
-        polished = _polish(seedpath, adj, n_sites, mix64(salt, descending),
+        polished = _polish(seedpath, adj, n_sites, comp_size, mix64(salt, descending),
                            failure_budget, max_steps)
         if len(polished) > len(best):
             best = polished
@@ -273,7 +297,7 @@ def find_long_open_path(grid: SiteGrid) -> list[tuple[int, ...]]:
     orders = (ascending, [nbrs[::-1] for nbrs in ascending])
     best: list[int] = []
     for si, s in enumerate(starts):
-        path = _grow_from(s, adj, orders, flat_open.size, salt=si)
+        path = _grow_from(s, adj, orders, flat_open.size, len(comp), salt=si)
         if len(path) > len(best):
             best = path
     sites = np.argwhere(grid.open).tolist()
@@ -387,11 +411,15 @@ def _binomial_se(freq: float, trials: int) -> float:
     return math.sqrt(max(freq * (1.0 - freq), 1.0 / trials) / trials)
 
 
+def _check_replicas(replicas: int) -> None:
+    if type(replicas) is not int or replicas < 1:
+        raise ValueError(f"need an integer count of at least one replica, not {replicas!r}")
+
+
 def crossing_frequency(dims: Sequence[int], p: float, replicas: int, seed: int,
                        axis: int = 0) -> tuple[float, float]:
     """Monte Carlo crossing probability with its standard error."""
-    if replicas < 1:
-        raise ValueError("need at least one replica")
+    _check_replicas(replicas)
     hits = 0
     for r in range(replicas):
         grid = sample_site_grid(dims, p, mix64(seed, 0x43524F53, r))
@@ -617,8 +645,8 @@ class OrientedRun:
 def _check_op(ell: int, q: float, steps: int, initial: Iterable[int] = ()) -> frozenset[int]:
     """The input check shared by every oriented-percolation entry point;
     returns the initial set."""
-    if ell < 0 or steps < 0 or not (0.0 <= q <= 1.0):
-        raise ValueError("need ell >= 0, steps >= 0 and 0 <= q <= 1")
+    if type(ell) is not int or type(steps) is not int or ell < 0 or steps < 0 or not 0.0 <= q <= 1.0:
+        raise ValueError("need integers ell >= 0 and steps >= 0, and 0 <= q <= 1")
     init = frozenset(int(i) for i in initial)
     if any(i < 0 or i > ell for i in init):
         raise ValueError("initial sites must lie in [0, ell]")
@@ -782,8 +810,8 @@ def _simulate_batch(ell: int, q: float, steps: int, replicas: int, seed: int,
 def op_survival_frequency(ell: int, q: float, t: int, replicas: int, seed: int,
                           initial: Iterable[int] | None = None) -> tuple[float, float]:
     """Simulated P(eta_t != empty) with standard error."""
-    if replicas < 1:
-        raise ValueError("need at least one replica")
+    _check_replicas(replicas)
+    _check_op(ell, q, t)  # before full_interval_initial reads ell
     init = full_interval_initial(ell) if initial is None else initial
     _, extinct_at = _simulate_batch(ell, q, t, replicas, seed, init)
     freq = float((extinct_at > t).mean())
@@ -801,6 +829,9 @@ class OPExtinctionProfile:
     median_steps: float
 
 
+_GTH_PANEL = 16  # states censored per rank-_GTH_PANEL update of the trailing block
+
+
 def _gth_last_mean(M: np.ndarray, exits: np.ndarray, reward: np.ndarray) -> float:
     """Expected reward collected before absorption from the last state of
     the substochastic chain M, whose rows leak `exits` to the absorbing state.
@@ -809,16 +840,27 @@ def _gth_last_mean(M: np.ndarray, exits: np.ndarray, reward: np.ndarray) -> floa
     time, and each pivot 1 - M_kk is formed as the remaining off-diagonal
     mass plus the exit, so every step adds or multiplies nonnegative numbers
     and the answer stays accurate however close to 1 the escape rate is.
+    The states go in panels of _GTH_PANEL: each pivot updates the panel's
+    columns and rows, the exits and the rewards, and the panel's products
+    reach the trailing block in one sum, taken with np.einsum because
+    matmul's last bits depend on the BLAS thread count.
     """
+    n = len(M)
     P = M.copy()
     np.fill_diagonal(P, 0.0)
     exits = exits.copy()
     reward = reward.copy()
-    for k in range(len(P) - 1):
-        f = P[k + 1:, k] / (P[k, k + 1:].sum() + exits[k])
-        P[k + 1:, k + 1:] += np.outer(f, P[k, k + 1:])
-        exits[k + 1:] += f * exits[k]
-        reward[k + 1:] += f * reward[k]
+    for k0 in range(0, n - 1, _GTH_PANEL):
+        k1 = min(k0 + _GTH_PANEL, n - 1)
+        F = np.empty((n - k1, k1 - k0))
+        for k in range(k0, k1):
+            f = P[k + 1:, k] / (P[k, k + 1:].sum() + exits[k])
+            P[k + 1:, k + 1:k1] += np.outer(f, P[k, k + 1:k1])
+            P[k + 1:k1, k1:] += np.outer(f[:k1 - k - 1], P[k, k1:])
+            exits[k + 1:] += f * exits[k]
+            reward[k + 1:] += f * reward[k]
+            F[:, k - k0] = f[k1 - k - 1:]
+        P[k1:, k1:] += np.einsum("ik,kj->ij", F, P[k0:k1, k1:])
     return float(reward[-1] / exits[-1])
 
 

@@ -256,22 +256,26 @@ class BoxLattice:
 
 
 def discretize_boxes(cloud: PointCloud, side: float, open_threshold: float) -> BoxLattice:
-    if side <= 0:
-        raise ValueError("box side must be positive")
+    """Box of each point, with `members` keyed by box coordinate tuples in
+    order of the boxes' first points, each listing its points ascending."""
+    if not 0 < side < math.inf:  # written so that NaN fails
+        raise ValueError("box side must be positive and finite")
     d = cloud.dim
     per_axis = max(1, math.ceil(cloud.box_side / side - 1e-12))
     dims = (per_axis,) * d
     idx = np.floor(cloud.points / side).astype(np.int64)
     np.clip(idx, 0, per_axis - 1, out=idx)
-    counts = np.zeros(dims, dtype=np.int64)
-    members: dict[tuple, list[int]] = {}
-    for i, c in enumerate(map(tuple, idx)):
-        members.setdefault(c, []).append(i)
-    for c, ids in members.items():
-        counts[c] = len(ids)
+    flat = np.ravel_multi_index(idx.T, dims)
+    counts = np.bincount(flat, minlength=math.prod(dims)).reshape(dims)
+    # a stable sort groups the points of each box, keeping them ascending
+    order = np.argsort(flat, kind="stable")
+    starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
+    bounds = np.append(starts, len(order)).tolist()
+    boxes = np.array(np.unravel_index(flat[order[starts]], dims)).T.tolist()
+    members = {tuple(boxes[g]): order[bounds[g]:bounds[g + 1]]
+               for g in np.argsort(order[starts]).tolist()}
     open_flags = counts >= open_threshold
-    return BoxLattice(side, dims, counts, open_flags,
-                      {c: np.asarray(ids) for c, ids in members.items()}, open_threshold)
+    return BoxLattice(side, dims, counts, open_flags, members, open_threshold)
 
 
 @dataclass(frozen=True)

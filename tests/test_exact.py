@@ -16,6 +16,7 @@ from geocp.exact import (_class_adjacency, _twin_classes, clique_extinction_rate
                          exact_expected_extinction_ctmc, log_exact_clique_extinction,
                          sample_clique_extinction_times)
 from geocp.graphs import CaterpillarSpec, Graph, build_caterpillar, build_complete
+from geocp.rng import mix64
 
 
 def _clique_mean(m: int, lam: float) -> float:
@@ -259,3 +260,33 @@ def test_sampler_reaches_unreachable_regimes():
     taus = sample_clique_extinction_times(30, 0.5, 64, seed=1)
     assert np.isfinite(taus).all()
     assert taus.mean() > 1e19
+
+
+def _one_shot_samples(m, lam, count, seed):
+    """The sampler as one (count, m) array of uniforms."""
+    rates = clique_extinction_rates(m, lam)
+    u = np.random.default_rng(mix64(seed, 0x50485459)).random((count, m))
+    return (-np.log1p(-u) / rates).sum(axis=1)
+
+
+@pytest.mark.parametrize("m, lam, count", [(11, 1.0, 20_000), (30, 0.1, 20_000), (1, 0.5, 10),
+                                           (200, 0.05, 3000), (5, 0.3, 0), (7, 2.0, 70_001)])
+def test_sampler_blocks_draw_the_one_shot_samples(m, lam, count):
+    blocked = sample_clique_extinction_times(m, lam, count, seed=12)
+    one_shot = _one_shot_samples(m, lam, count, 12)
+    assert blocked.dtype == one_shot.dtype and blocked.shape == (count,)
+    assert blocked.tobytes() == one_shot.tobytes()
+
+
+def test_sampler_memory_is_bounded_by_its_block():
+    # the one-shot form held four (count, m) float arrays at its peak
+    # (19.2 MB here); the blocked one holds the 160 kB output and at most
+    # two 512 kB blocks, and the bound leaves ~0.8 MB of margin over that
+    sample_clique_extinction_times(30, 0.1, 10, seed=1)
+    tracemalloc.start()
+    try:
+        sample_clique_extinction_times(30, 0.1, 20_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, product
@@ -8,10 +11,12 @@ import numpy as np
 import pytest
 
 from geocp.errors import BudgetExceededError
-from geocp.percolation import (FirstPassage, _class_transition, _simulate_batch, arrow_open,
+from geocp.percolation import (FirstPassage, _class_transition, _gth_last_mean, _simulate_batch,
+                               _transfer_matrices, arrow_open,
                                full_interval_initial, op_exact_survival, op_extinction_profile_exact,
                                op_first_passage, op_run, op_survival_frequency)
 from geocp.rng import derive_seed
+from percolation_reference import gth_last_mean as unblocked_gth_mean
 
 
 def test_parity_rejection():
@@ -222,16 +227,19 @@ def test_batch_replica_is_op_run_on_its_derived_seed(ell, q, start):
 
 @pytest.mark.parametrize("entry, bad_calls", [
     pytest.param(op_run, [(-1, 0.5, (), 2, 1), (-2, 0.5, (), 2, 1), (4, 1.5, (), 2, 1),
-                          (4, math.nan, (), 2, 1), (4, 0.5, (), -1, 1)], id="op_run"),
-    pytest.param(op_first_passage, [(-1, 0.5, 0), (4, math.nan, 0), (4, 1.5, 0), (4, -0.1, 0)],
-                 id="op_first_passage"),
+                          (4, math.nan, (), 2, 1), (4, 0.5, (), -1, 1), (4, 0.6, [0], 2.5, 1),
+                          (4.0, 0.6, [0], 2, 1), (True, 0.6, [0], 2, 1)], id="op_run"),
+    pytest.param(op_first_passage, [(-1, 0.5, 0), (4, math.nan, 0), (4, 1.5, 0), (4, -0.1, 0),
+                                    (2.0, 0.6, 1)], id="op_first_passage"),
     pytest.param(op_exact_survival, [(4, 0.5, -1, {0}), (-1, 0.5, 2, ()), (4, 1.5, 2, {0}),
-                                     (4, math.nan, 2, {0})], id="op_exact_survival"),
+                                     (4, math.nan, 2, {0}), (4, 0.6, 2.5, [0]), (4, 0.6, False, [0])],
+                 id="op_exact_survival"),
     pytest.param(op_survival_frequency, [(4, 1.5, 2, 100, 1), (4, 0.5, -1, 100, 1),
-                                         (-2, 0.5, 2, 100, 1), (4, math.nan, 2, 100, 1)],
+                                         (-2, 0.5, 2, 100, 1), (4, math.nan, 2, 100, 1),
+                                         (4, 0.6, 2.5, 10, 1), (4.0, 0.6, 2, 10, 1)],
                  id="op_survival_frequency"),
-    pytest.param(op_extinction_profile_exact, [(-3, 0.5), (4, 1.5), (4, math.nan)],
-                 id="op_extinction_profile_exact"),
+    pytest.param(op_extinction_profile_exact, [(-3, 0.5), (4, 1.5), (4, math.nan), (4.5, 0.6),
+                                               (4.0, 0.6)], id="op_extinction_profile_exact"),
 ])
 def test_op_entry_point_rejects_bad_inputs(entry, bad_calls):
     for args in bad_calls:
@@ -373,11 +381,51 @@ def test_class_transition_golden():
 
 
 def test_extinction_profile_workload_cells_golden():
-    # the exact profiles of the benchmark's percolation workload (q = 0.7)
+    # the exact profiles of the benchmark's percolation workload (q = 0.7),
+    # recorded from the panel-blocked GTH; the means read before it, from
+    # one outer product per censored state, lie within 8 ulp
     profiles = [op_extinction_profile_exact(ell, 0.7) for ell in (8, 10, 12, 14, 16)]
     assert [(p.mean_steps, p.median_steps) for p in profiles] == [
-        (89.76907945483553, 64.0), (156.16732554258752, 111.0), (259.2106573288761, 183.0),
-        (417.29940594660707, 293.0), (658.1278308909253, 461.0)]
+        (89.76907945483552, 64.0), (156.16732554258746, 111.0), (259.2106573288761, 183.0),
+        (417.29940594660695, 293.0), (658.1278308909252, 461.0)]
+    unblocked_means = [89.76907945483553, 156.16732554258752, 259.2106573288761,
+                       417.29940594660707, 658.1278308909253]
+    for p, old in zip(profiles, unblocked_means):
+        assert abs(p.mean_steps - old) <= 8 * math.ulp(old)
+
+
+def _gth_inputs(ell, q):
+    """The chain, exits and rewards that op_extinction_profile_exact hands
+    to _gth_last_mean."""
+    A, B = _transfer_matrices(ell, q)
+    AB = A @ B
+    return AB[1:, 1:], AB[1:, 0], 1.0 + A[1:, 1:].sum(axis=1)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.7, 0.95, 0.99])
+def test_blocked_gth_mean_matches_the_unblocked_elimination(q):
+    # the panels sum each block's products in another order; both orders
+    # add nonnegative terms, so the means agree to a few ulp (3 at most
+    # over these cells when recorded)
+    for ell in range(1, 20):
+        chain = _gth_inputs(ell, q)
+        blocked = _gth_last_mean(*chain)
+        unblocked = unblocked_gth_mean(*chain)
+        assert abs(blocked - unblocked) <= 8 * math.ulp(unblocked), (ell, q)
+
+
+def test_exact_profile_bytes_do_not_depend_on_the_blas_thread_count():
+    code = ("from geocp.percolation import op_extinction_profile_exact as f\n"
+            "for ell, q in ((16, 0.7), (16, 0.95), (19, 0.89), (19, 0.99)):\n"
+            "    p = f(ell, q)\n"
+            "    print(p.mean_steps.hex(), p.median_steps.hex())\n")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=300)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] and len(outputs[0].split()) == 8
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])

@@ -3,16 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geocp.errors import BudgetExceededError
 from geocp.graphs import (CaterpillarSpec, Graph, _components, build_caterpillar,
                           build_complete, random_connected_graph)
-from geocp.percolation import (SiteGrid, crossing_frequency, find_long_open_path,
+from geocp.percolation import (SiteGrid, _polish, crossing_frequency, find_long_open_path,
                                glue_plane_paths, grid_from_field,
                                has_crossing, longest_open_path_exact, path_is_valid,
-                               path_to_text, sample_site_grid, sample_uniform_field)
+                               op_survival_frequency, path_to_text, sample_site_grid,
+                               sample_uniform_field)
 from geocp.rgg import GeometryConfig, find_caterpillar_embedding, sample_poisson_points
 from graph_helpers import diameter
+from percolation_reference import find_long_open_path as earlier_long_path
 
 
 def test_site_grid_degenerate_p():
@@ -47,6 +51,56 @@ def test_full_grid_path_is_hamiltonian():
     for n in (4, 6, 8):
         g = sample_site_grid((n, n), 1.0, 0)
         assert len(find_long_open_path(g)) == n * n
+
+
+_GRID_SIDES = {1: 40, 2: 16, 3: 7}
+
+
+@st.composite
+def _grids(draw):
+    d = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.integers(1, _GRID_SIDES[d]), min_size=d, max_size=d)))
+    return dims, draw(st.floats(0.3, 1.0)), draw(st.integers(0, 2**32 - 1))
+
+
+# full and nearly full grids, where a double-sweep chain or its first
+# extensions visit the whole cluster and the polish stops early
+@example(((8, 8), 1.0, 0))
+@example(((4, 4), 0.7, 3))
+@example(((5, 5, 5), 1.0, 0))
+@example(((40,), 1.0, 0))
+@example(((6, 7), 0.95, 11))
+@example(((4, 4), 0.9, 2))
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_grids())
+def test_long_path_matches_the_earlier_search(cell):
+    dims, p, seed = cell
+    grid = sample_site_grid(dims, p, seed)
+    assert find_long_open_path(grid) == earlier_long_path(grid)
+
+
+def test_polish_stops_once_the_cluster_is_visited():
+    # a Hamiltonian path of a 6-cycle: without the stop, the first step
+    # would rotate the path in place, since the head's only other
+    # neighbour is the tail
+    adj = [[(v - 1) % 6, (v + 1) % 6] for v in range(6)]
+    path = list(range(6))
+    assert _polish(path, adj, 6, 6, 1, failure_budget=10, max_steps=10) == list(range(6))
+    assert path == list(range(6))
+
+
+def test_site_grid_requires_a_bool_field():
+    for bad in (np.full((3, 3), 0.5), np.ones((3, 3), dtype=np.int64)):
+        with pytest.raises(ValueError, match="bool"):
+            SiteGrid((3, 3), bad, None, None)
+
+
+def test_frequency_entry_points_reject_bad_replica_counts():
+    for bad in (0, -2, True, 2.5):
+        with pytest.raises(ValueError, match="at least one replica"):
+            crossing_frequency((8, 8), 0.6, bad, 1)
+        with pytest.raises(ValueError, match="at least one replica"):
+            op_survival_frequency(4, 0.6, 2, bad, 1)
 
 
 def test_empty_and_output_validity():

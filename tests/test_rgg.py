@@ -97,6 +97,39 @@ def test_discretize_boxes():
     assert lat2.counts.sum() == 200
 
 
+def _loop_members(cloud, side):
+    """Box members grouped one point at a time, in order of first point."""
+    per_axis = max(1, math.ceil(cloud.box_side / side - 1e-12))
+    idx = np.clip(np.floor(cloud.points / side).astype(np.int64), 0, per_axis - 1)
+    members = {}
+    for i, c in enumerate(map(tuple, idx.tolist())):
+        members.setdefault(c, []).append(i)
+    return members
+
+
+@pytest.mark.parametrize("n, side, d, seed", [(3000.0, 1.7, 2, 1), (800.0, 1.3, 3, 2),
+                                              (60.0, 0.9, 1, 3), (40.0, 2.0, 4, 4), (5.0, 10.0, 2, 5)])
+def test_discretize_boxes_groups_like_the_point_loop(n, side, d, seed):
+    cloud = sample_poisson_points(GeometryConfig(n, 1.0, d), seed)
+    lat = discretize_boxes(cloud, side, 2.0)
+    members = _loop_members(cloud, side)
+    assert list(lat.members) == list(members)  # keys and their order
+    assert all(type(c) is int for box in lat.members for c in box)
+    assert all(lat.members[box].tolist() == ids for box, ids in members.items())
+    counts = np.zeros(lat.dims, dtype=np.int64)
+    for box, ids in members.items():
+        counts[box] = len(ids)
+    assert lat.counts.dtype == np.int64 and np.array_equal(lat.counts, counts)
+    assert discretize_boxes(PointCloud(np.empty((0, d)), 5.0), side, 1.0).members == {}
+
+
+def test_discretize_boxes_rejects_bad_sides():
+    cloud = PointCloud(np.array([[0.5, 0.5]]), 4.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="box side must be positive and finite"):
+            discretize_boxes(cloud, bad, 1.0)
+
+
 def test_embedding_single_box_degenerate():
     rng = np.random.default_rng(3)
     pts = rng.random((15, 2)) * 2.0
