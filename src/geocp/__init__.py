@@ -6,7 +6,7 @@ and duality support, closed-form bounds, and the statistics needed to test
 extinction-time scaling and the unit-exponential metastability limit.
 """
 
-from .bounds import early_extinction_floor, log_extinction_time_bound, rgg_log_tau_scale
+from .bounds import log_extinction_time_bound, rgg_log_tau_scale
 from .contact import (ContactConfig, LitSnapshot, TauSample, birth_death_clique_simulate,
                       lit_snapshots, record_event_window, sample_extinction_times,
                       simulate_coupled, simulate_extinction, simulate_rate_coupled)
@@ -19,10 +19,10 @@ from .percolation import (EdgeTrack, OrientedRun, SiteGrid, find_long_open_path,
                           full_interval_initial, glue_plane_paths,
                           longest_open_path_exact, op_exact_survival,
                           op_extinction_profile_exact, op_first_passage, op_run,
-                          op_survival_frequency, path_is_valid, sample_site_grid)
+                          op_survival_frequency, sample_site_grid)
 from .rgg import (CaterpillarEmbedding, GeometryConfig, PointCloud, build_rgg,
-                  build_rgg_bruteforce, discretize_boxes, embedding_is_valid,
-                  find_caterpillar_embedding, sample_poisson_points)
-from .stats import SampleSummary, TauBatch, fit_loglinear, ks_to_exp1
+                  discretize_boxes, embedding_is_valid, find_caterpillar_embedding,
+                  sample_poisson_points)
+from .stats import fit_loglinear, ks_to_exp1, tau_summary
 
 __version__ = "0.1.0"

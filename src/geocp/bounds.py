@@ -28,13 +28,6 @@ def log_extinction_time_bound(v: int, e: int, lam: float) -> float:
     return math.log(v) + v * math.log(2.0 + 4.0 * lam * e / v)
 
 
-def early_extinction_floor(v: int, e: int, lam: float) -> float:
-    """Lower bound (2 + 4*lam*e/v)^(-v) on the probability that the process
-    started anywhere dies within one time unit."""
-    _check_graph(v, e, lam)
-    return math.exp(-v * math.log(2.0 + 4.0 * lam * e / v))
-
-
 def rgg_log_tau_scale(n: float, lam: float, radius: float, dim: int) -> float:
     """Predicted scale n*log(lam*R^d) for the log extinction time on a
     geometric graph with volume parameter n and connection radius R.

@@ -9,7 +9,6 @@ tools around the library.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -171,7 +170,7 @@ def _cmd_experiment(args) -> int:
     cfg = parse_config(args.config)
     table = run_experiment(cfg, out_dir=args.out_dir, workers=args.workers)
     log.info("experiment %s: %d rows -> %s", cfg.kind, len(table.rows), args.out_dir)
-    print(json.dumps(table.summary, sort_keys=True, indent=2))
+    print(table.summary_json())
     return 0
 
 

@@ -330,7 +330,7 @@ def sample_extinction_times(g: Graph, lam: float, t_cap: float | None, master_se
     lam = 0.2 has E[tau] ~ 3.4e11): size it first with
     `exact.log_exact_clique_extinction` or the exact CTMC."""
     _check_rates(lam, t_cap)
-    if not isinstance(replicas, (int, np.integer)) or replicas < 0:
+    if isinstance(replicas, bool) or not isinstance(replicas, (int, np.integer)) or replicas < 0:
         raise ValueError("replicas must be a non-negative integer")
     healthy = _healthy_flags(g.vertex_count, initial)
     taus = np.empty(replicas)

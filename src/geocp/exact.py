@@ -18,6 +18,7 @@ each other and the simulators:
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -162,8 +163,10 @@ def _by_level(row, col, val, first):
             for k, (a, b) in enumerate(zip(cut[:-1], cut[1:]))]
 
 
-def exact_expected_extinction_ctmc(g: Graph, lam: float, cap: int = 12,
-                                   hard_cap: int = 14) -> float:
+_HARD_CAP = 14  # caps above it count as 14: at most C(14, 7) = 3 432 states per level
+
+
+def exact_expected_extinction_ctmc(g: Graph, lam: float, cap: int = 12) -> float:
     """Expected extinction time from full occupancy of the contact process
     on g, solved exactly on the jump chain lumped over twin classes.
 
@@ -184,33 +187,33 @@ def exact_expected_extinction_ctmc(g: Graph, lam: float, cap: int = 12,
     E[tau] = sum_k pi_k . c_k, pi_k the first-entry law of level k.
 
     The widest level holds w^2 doubles, so graphs whose widest level
-    exceeds w = C(limit, limit // 2), limit = min(cap, hard_cap), are
-    refused before any state is built, and graphs of more than
-    max(limit, 1) twin classes before the class adjacency or the level
-    widths are formed: on a twin-free graph the budget is exactly
-    |V| <= limit.  A negative limit refuses every graph.
+    exceeds w = C(limit, limit // 2), limit = min(cap, _HARD_CAP), are
+    refused before any state or the class adjacency is built: on a
+    twin-free graph the budget is exactly |V| <= limit.  A negative limit
+    refuses every graph.
     """
     _check_lam(lam)
     n = g.vertex_count
     if n == 0:
         return 0.0
     classes = _twin_classes(g.adjacency)
-    limit = min(cap, hard_cap)
+    limit = min(cap, _HARD_CAP)
     budget = math.comb(limit, limit // 2) if limit >= 0 else 0
-    # the product of the class polynomials dominates (1 + x)^#classes, so the
-    # widest level holds at least C(#classes, #classes // 2) states
-    if len(classes) > max(limit, 1):
-        c = len(classes)
-        raise BudgetExceededError(f"{c} twin classes give a widest level of at least "
-                                  f"C({c}, {c // 2}) states, above the CTMC budget of "
-                                  f"{budget} states for limit {limit}")
+    # states per level: the product of the class polynomials 1 + x + ... + x^s,
+    # in exact integers.  It dominates (1 + x)^c after c classes, so the widest
+    # level holds at least C(c, c // 2) states and the loop stops by class 15
+    width = [1]
+    for i, members in enumerate(classes, 1):
+        low = list(accumulate(width, initial=0))  # low[k] = width[0] + ... + width[k-1]
+        s = len(members)
+        width = [low[min(k + 1, len(width))] - low[max(k - s, 0)]
+                 for k in range(len(width) + s)]
+        if max(width) > budget:
+            raise BudgetExceededError(
+                f"the widest level holds at least {max(width)} states after {i} of "
+                f"{len(classes)} twin classes, above the CTMC budget of {budget} states "
+                f"for limit {limit}")
     sizes = np.array([len(members) for members in classes], dtype=np.int64)
-    width = np.ones(1)  # states per level: the product of the class polynomials
-    for s in sizes:
-        width = np.convolve(width, np.ones(s + 1))
-    if width.max() > budget:
-        raise BudgetExceededError(f"the widest level of {width.max():.6g} states exceeds "
-                                  f"the CTMC budget of {budget} states for limit {limit}")
     B = _class_adjacency(g.adjacency, classes)
     radix = sizes + 1
     place = np.cumprod(np.concatenate([[1], radix[:-1]]))

@@ -140,13 +140,24 @@ class ResultTable:
             writer.writerow([_fmt(x) for x in row])
         return buf.getvalue()
 
+    def summary_json(self) -> str:
+        """The summary as strict JSON: NaN and infinities are written as null."""
+        def finite(x):
+            if isinstance(x, dict):
+                return {k: finite(v) for k, v in x.items()}
+            if isinstance(x, (list, tuple)):
+                return [finite(v) for v in x]
+            return None if isinstance(x, float) and not math.isfinite(x) else x
+
+        return json.dumps(finite(self.summary), sort_keys=True, indent=2, allow_nan=False)
+
     def write(self, out_dir) -> tuple[Path, Path]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / f"{self.kind}.csv"
         json_path = out / f"{self.kind}_summary.json"
         csv_path.write_text(self.to_csv_text())
-        json_path.write_text(json.dumps(self.summary, sort_keys=True, indent=2) + "\n")
+        json_path.write_text(self.summary_json() + "\n")
         return csv_path, json_path
 
 
@@ -470,12 +481,9 @@ def _run_rgg_tau(cfg: ExperimentConfig, workers: int) -> ResultTable:
     cells = [(geo, lam, t_cap, cfg.seed, i) for i in range(replicas)]
     results = _parallel(_rgg_tau_replica, cells, workers)
     rows = list(results)
-    batch = stats.TauBatch()
     mean_v = float(np.mean([r[2] for r in results])) if results else 0.0
     mean_e = float(np.mean([r[3] for r in results])) if results else 0.0
-    for r in results:
-        batch.add(r[4], r[5])
-    summ = batch.summary()
+    tau = stats.tau_summary([r[4] for r in results], [r[5] for r in results])
     try:
         scale = bounds.rgg_log_tau_scale(geo["n"], lam, geo["r"], geo["d"])
     except ValueError:
@@ -483,7 +491,7 @@ def _run_rgg_tau(cfg: ExperimentConfig, workers: int) -> ResultTable:
     summary = {"kind": cfg.kind, "seed": cfg.seed, "lam": lam, "t_cap": t_cap, "replicas": replicas,
                "geometry": {k: geo[k] for k in ("n", "r", "d", "b", "B")},
                "mean_vertices": mean_v, "mean_edges": mean_e,
-               "tau": summ.as_dict(), "log_tau_scale": scale,
+               "tau": tau, "log_tau_scale": scale,
                "log_f_bound_at_means": bounds.log_extinction_time_bound(
                    max(1, int(mean_v)), int(mean_e), lam)}
     return ResultTable(cfg.kind, ("replica", "replica_seed", "vertices", "edges",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -89,9 +88,6 @@ class Graph:
         flat = flat.tolist()
         return cls(tuple(tuple(flat[s:e]) for s, e in zip([0] + ends[:-1], ends)))
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (a, b) with a < b, ascending."""
         return [(a, b) for a in range(self.vertex_count) for b in self.adjacency[a] if a < b]
@@ -106,10 +102,6 @@ class Graph:
                     raise ValueError(f"self-loop at vertex {v}")
                 if v not in self.adjacency[w]:
                     raise ValueError(f"asymmetric edge ({v},{w})")
-
-    def fingerprint(self) -> str:
-        """Stable short digest of the edge list."""
-        return hashlib.sha256(to_edge_list_text(self).encode()).hexdigest()[:12]
 
 
 def build_complete(m: int) -> Graph:

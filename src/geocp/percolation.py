@@ -304,24 +304,6 @@ def find_long_open_path(grid: SiteGrid) -> list[tuple[int, ...]]:
     return [tuple(sites[v]) for v in best]
 
 
-def path_is_valid(grid: SiteGrid, path: Sequence[tuple[int, ...]]) -> bool:
-    """Machine check: open sites, lattice-adjacent consecutive pairs, no repeats."""
-    if len(set(path)) != len(path):
-        return False
-    for site in path:
-        if len(site) != len(grid.dims):
-            return False
-        if not all(0 <= c < d for c, d in zip(site, grid.dims)):
-            return False
-        if not grid.open[site]:
-            return False
-    for a, b in zip(path, path[1:]):
-        diff = [abs(x - y) for x, y in zip(a, b)]
-        if sum(diff) != 1 or max(diff) != 1:
-            return False
-    return True
-
-
 def longest_open_path_exact(grid: SiteGrid, budget: int = 36) -> int:
     """Exact maximum simple-path vertex count via branch and bound.
 

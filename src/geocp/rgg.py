@@ -32,6 +32,8 @@ class GeometryConfig:
     upper: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
+            raise ValueError(f"dim must be an integer, not {self.dim!r}")
         if not (0 < self.n < math.inf and self.radius > 0 and self.dim >= 1):
             raise ValueError("need finite n > 0, radius > 0, dim >= 1")
         if not (0.0 < self.lower <= self.upper < math.inf):
@@ -192,9 +194,9 @@ def build_rgg(cloud: PointCloud, radius: float) -> Graph:
     half-neighbour cells.  When fewer cells are occupied than there are
     such offsets (a sparse cloud in high dimension), the occupied cells are
     compared with each other instead of visiting every offset.  A
-    candidate pair is an edge when its squared distance, summed as in
-    `build_rgg_bruteforce`, is <= radius^2, so the result equals that
-    quadratic reference construction exactly.
+    candidate pair is an edge when its squared distance, summed over the
+    axes in order, is <= radius^2, so the result equals a quadratic scan
+    of all pairs that sums the same way, exactly.
 
     The edges go to `Graph.from_edges` as one (m, 2) int64 array, after
     the search's own arrays are freed: the graph keeps about 8.75 bytes
@@ -222,20 +224,6 @@ def build_rgg(cloud: PointCloud, radius: float) -> Graph:
     del src
     np.concatenate(dst, out=edges[:, 1])
     del dst
-    return Graph.from_edges(n, edges)
-
-
-def build_rgg_bruteforce(cloud: PointCloud, radius: float) -> Graph:
-    """Quadratic reference construction; kept as the independent check for
-    the sorted-cell builder."""
-    pts = cloud.points
-    n = len(cloud)
-    r2 = radius * radius
-    edges = []
-    for i in range(n):
-        d2 = ((pts[i + 1:] - pts[i]) ** 2).sum(axis=1)
-        for j in np.nonzero(d2 <= r2)[0]:
-            edges.append((i, i + 1 + int(j)))
     return Graph.from_edges(n, edges)
 
 
@@ -328,8 +316,7 @@ def find_caterpillar_embedding(cloud: PointCloud, cfg: GeometryConfig) -> Caterp
     blocks = []
     spine = []
     for box in path:
-        ids = np.sort(lattice.members[box])
-        block = tuple(int(v) for v in ids[:block_size])
+        block = tuple(int(v) for v in lattice.members[box][:block_size])
         blocks.append(block)
         spine.append(block[0])
     return CaterpillarEmbedding(tuple(path), tuple(blocks), tuple(spine), block_size)

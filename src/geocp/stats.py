@@ -3,60 +3,34 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 from typing import Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SampleSummary:
-    """Moments and quantiles of a batch; censored entries counted, never dropped.
+def tau_summary(taus: Sequence[float], censored: Sequence[bool]) -> dict:
+    """Counts, moments and quartiles of a batch of extinction times.
 
-    Mean/SE/quantiles are computed on the uncensored part only, so they are
-    meaningful only in regimes where censoring is rare.
+    Censored entries are counted, never dropped; the mean, standard error
+    and 25/50/75 % quantiles are taken over the uncensored values, sorted
+    first so that the input order never shows through.  They are
+    meaningful only where censoring is rare, and NaN when no uncensored
+    value is left (the standard error: fewer than two).
     """
-
-    count: int
-    censored_count: int
-    mean: float
-    se: float
-    quantiles: tuple[float, float, float]  # 25%, 50%, 75%
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-class TauBatch:
-    """Mergeable accumulator of (value, censored) observations.
-
-    Merging is commutative and associative: summaries are computed from the
-    pooled values after sorting, so worker order never shows through.
-    """
-
-    def __init__(self):
-        self.values: list[float] = []
-        self.censored: list[float] = []
-
-    def add(self, value: float, censored: bool = False) -> None:
-        (self.censored if censored else self.values).append(value)
-
-    def merge(self, other: "TauBatch") -> "TauBatch":
-        out = TauBatch()
-        out.values = self.values + other.values
-        out.censored = self.censored + other.censored
-        return out
-
-    def summary(self) -> SampleSummary:
-        vals = np.sort(np.asarray(self.values, dtype=float))
-        n = vals.size
-        if n == 0:
-            return SampleSummary(0, len(self.censored), math.nan, math.nan,
-                                 (math.nan, math.nan, math.nan))
+    t = np.asarray(taus, dtype=float)
+    flags = np.asarray(censored, dtype=bool)
+    if t.ndim != 1 or flags.shape != t.shape:
+        raise ValueError("taus and censored must be 1-d and of equal length")
+    vals = np.sort(t[~flags])
+    n = vals.size
+    if n == 0:
+        mean, q = math.nan, [math.nan] * 3
+    else:
         mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-        q = tuple(float(x) for x in np.quantile(vals, [0.25, 0.5, 0.75]))
-        return SampleSummary(n, len(self.censored), mean, se, q)
+        q = [float(x) for x in np.quantile(vals, [0.25, 0.5, 0.75])]
+    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    return {"count": n, "censored_count": int(flags.sum()), "mean": mean, "se": se,
+            "quantiles": q}
 
 
 def ks_to_exp1(sample: Sequence[float]) -> float:

@@ -1,8 +1,40 @@
-"""Graph queries that only the tests need."""
+"""Graph queries, references and bounds that only the tests need."""
 
+import hashlib
+import math
 from typing import Iterable
 
-from geocp.graphs import Graph, _bfs, _depths
+import numpy as np
+
+from geocp.bounds import _check_graph
+from geocp.graphs import Graph, _bfs, _depths, to_edge_list_text
+from geocp.rgg import PointCloud
+
+
+def fingerprint(g: Graph) -> str:
+    """Stable short digest of the edge list."""
+    return hashlib.sha256(to_edge_list_text(g).encode()).hexdigest()[:12]
+
+
+def build_rgg_bruteforce(cloud: PointCloud, radius: float) -> Graph:
+    """Quadratic reference construction: the independent check for the
+    sorted-cell builder `geocp.rgg.build_rgg`."""
+    pts = cloud.points
+    n = len(cloud)
+    r2 = radius * radius
+    edges = []
+    for i in range(n):
+        d2 = ((pts[i + 1:] - pts[i]) ** 2).sum(axis=1)
+        for j in np.nonzero(d2 <= r2)[0]:
+            edges.append((i, i + 1 + int(j)))
+    return Graph.from_edges(n, edges)
+
+
+def early_extinction_floor(v: int, e: int, lam: float) -> float:
+    """Lower bound (2 + 4*lam*e/v)^(-v) on the probability that the process
+    started anywhere dies within one time unit."""
+    _check_graph(v, e, lam)
+    return math.exp(-v * math.log(2.0 + 4.0 * lam * e / v))
 
 
 def diameter(g: Graph, component: Iterable[int], exact: bool = True) -> int:

@@ -2,7 +2,9 @@
 tests compare the package against: the long-path search with a dict of
 neighbour iterators, a `_greedy_extend` call and a `mix64` hash on every
 polish step and no early stop, and the GTH mean with one outer product per
-censored state."""
+censored state.  Also the machine check of a site path."""
+
+from typing import Sequence
 
 import numpy as np
 
@@ -129,3 +131,21 @@ def gth_last_mean(M: np.ndarray, exits: np.ndarray, reward: np.ndarray) -> float
         exits[k + 1:] += f * exits[k]
         reward[k + 1:] += f * reward[k]
     return float(reward[-1] / exits[-1])
+
+
+def path_is_valid(grid: SiteGrid, path: Sequence[tuple[int, ...]]) -> bool:
+    """Machine check: open sites, lattice-adjacent consecutive pairs, no repeats."""
+    if len(set(path)) != len(path):
+        return False
+    for site in path:
+        if len(site) != len(grid.dims):
+            return False
+        if not all(0 <= c < d for c, d in zip(site, grid.dims)):
+            return False
+        if not grid.open[site]:
+            return False
+    for a, b in zip(path, path[1:]):
+        diff = [abs(x - y) for x, y in zip(a, b)]
+        if sum(diff) != 1 or max(diff) != 1:
+            return False
+    return True

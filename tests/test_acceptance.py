@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geocp.bounds import early_extinction_floor, log_extinction_time_bound
+from geocp.bounds import log_extinction_time_bound
 from geocp.contact import (ContactConfig, record_event_window, dual_from_record,
                            forward_from_record, sample_extinction_times,
                            simulate_coupled)
@@ -27,10 +27,12 @@ from geocp.experiments import ExperimentConfig, battery_graphs, parse_config, ru
 from geocp.graphs import CaterpillarSpec, build_caterpillar, build_complete, random_connected_graph
 from geocp.percolation import (find_long_open_path, full_interval_initial,
                                longest_open_path_exact, op_exact_survival,
-                               op_extinction_profile_exact, path_is_valid,
-                               sample_site_grid, op_survival_frequency)
-from geocp.rgg import PointCloud, build_rgg, build_rgg_bruteforce
+                               op_extinction_profile_exact, sample_site_grid,
+                               op_survival_frequency)
+from geocp.rgg import PointCloud, build_rgg
 from geocp.stats import fit_loglinear, ks_to_exp1
+from graph_helpers import build_rgg_bruteforce, early_extinction_floor
+from percolation_reference import path_is_valid
 
 SUITE_DIR = Path(__file__).resolve().parents[1] / "configs" / "suite"
 

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from geocp.bounds import early_extinction_floor, log_extinction_time_bound, rgg_log_tau_scale
+from geocp.bounds import log_extinction_time_bound, rgg_log_tau_scale
+from graph_helpers import early_extinction_floor
 
 
 def test_extinction_time_bound_values():

@@ -52,7 +52,7 @@ def test_config_validation():
 
 def test_replicas_validated():
     g = build_complete(3)
-    for bad in (-1, 2.5, "3", None):
+    for bad in (-1, 2.5, "3", None, True, False):  # True once failed inside numpy
         with pytest.raises(ValueError, match="replicas"):
             sample_extinction_times(g, 1.0, None, 1, bad)
     taus, censored = sample_extinction_times(g, 1.0, None, 1, 0)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from geocp import exact as exact_module
 from geocp.contact import birth_death_clique_simulate
 from geocp.errors import BudgetExceededError
 from geocp.exact import (_class_adjacency, _twin_classes, clique_extinction_rates,
@@ -57,13 +58,15 @@ def test_ctmc_simple_cases():
 
 def test_ctmc_budget():
     # paths of four or more vertices are twin-free: the widest level is
-    # C(n, n // 2), so the budget is n <= min(cap, hard_cap)
+    # C(n, n // 2), so the budget is n <= min(cap, 14)
     with pytest.raises(BudgetExceededError,
-                       match=r"13 twin classes .* C\(13, 6\) states, above .* 924 states "
-                             r"for limit 12"):
+                       match=r"at least 1716 states after 13 of 13 twin classes, above .* 924 "
+                             r"states for limit 12"):
         exact_expected_extinction_ctmc(_path(13), 1.0)
-    # raising the cap within the hard limit is allowed
-    with pytest.raises(BudgetExceededError, match=r"21 twin classes .* 3432 states for limit 14"):
+    # raising the cap within the hard limit is allowed; the loop stops at
+    # C(15, 7), the first width above C(14, 7)
+    with pytest.raises(BudgetExceededError,
+                       match=r"6435 states after 15 of 21 twin classes, .* 3432 states for limit 14"):
         exact_expected_extinction_ctmc(_path(21), 1.0, cap=25)
     with pytest.raises(BudgetExceededError, match="0 states for limit -1"):
         exact_expected_extinction_ctmc(build_complete(1), 1.0, cap=-1)
@@ -71,7 +74,7 @@ def test_ctmc_budget():
     parts = [range(100 * i, 100 * i + 100) for i in range(3)]
     tripartite = Graph.from_edges(300, [(a, b) for i in range(3) for j in range(i + 1, 3)
                                         for a in parts[i] for b in parts[j]])
-    with pytest.raises(BudgetExceededError, match="widest level of 7651 states exceeds .* 924 "):
+    with pytest.raises(BudgetExceededError, match="at least 7651 states after 3 of 3 twin .* 924 "):
         exact_expected_extinction_ctmc(tripartite, 1.0)
     # one class of any size is one state per level, even at cap = 0: five
     # isolated vertices die out after the maximum of five unit exponentials
@@ -109,12 +112,12 @@ def test_import_geocp_loads_no_scipy():
 def test_ctmc_hard_cap_refuses_before_allocating(monkeypatch):
     # the widest level of P15 alone would be C(15, 7)^2 doubles (331 MB),
     # and its 2^15 count vectors 3.9 MB; P5000's class adjacency would be
-    # 200 MB and its level widths 5 000 convolutions.  Paths are twin-free,
-    # so both are refused on their class count before any of these is built
-    def no_convolve(*args):
-        raise AssertionError("level widths formed before the class count was checked")
+    # 200 MB.  Paths are twin-free, so the width loop refuses both after 15
+    # and 13 classes, before any of these is built
+    def no_adjacency(*args):
+        raise AssertionError("class adjacency built before the budget was checked")
 
-    monkeypatch.setattr(np, "convolve", no_convolve)
+    monkeypatch.setattr(exact_module, "_class_adjacency", no_adjacency)
     for g, cap, bound in [(_path(15), 15, 1e6), (_path(5000), 12, 8e6)]:
         tracemalloc.start()
         try:

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -145,6 +146,34 @@ def test_rgg_tau_runs_and_reports_censoring(tmp_path):
     assert "censored_count" in table.summary["tau"]
     text = (tmp_path / "rgg-tau.csv").read_text()
     assert text.splitlines()[0] == "replica,replica_seed,vertices,edges,tau,censored"
+
+
+def test_fully_censored_summary_is_strict_json(tmp_path, capsys):
+    # supercritical: every replica outlives t_cap, so the mean, the SE and
+    # the quartiles have no value; they are written as null, not NaN
+    cfg = ExperimentConfig("rgg-tau", 5,
+                           geometry={"n": 60.0, "r": 3.0, "d": 2, "b": 1.0, "B": 1.0},
+                           contact={"lam": 1.0, "t_cap": 2.0, "replicas": 3})
+    run_experiment(cfg, out_dir=tmp_path)
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    summary = json.loads((tmp_path / "rgg-tau_summary.json").read_text(), parse_constant=refuse)
+    assert summary["tau"] == {"count": 0, "censored_count": 3, "mean": None, "se": None,
+                              "quantiles": [None, None, None]}
+    cfg_path = tmp_path / "censored.cfg"
+    cfg_path.write_text("[experiment]\nkind = rgg-tau\nseed = 5\n\n[geometry]\nn = 60\nr = 3\n"
+                        "d = 2\n\n[contact]\nlam = 1\nt_cap = 2\nreplicas = 3\n")
+    assert cli_main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out, parse_constant=refuse) == summary
+
+
+def test_summary_json_writes_null_for_every_non_finite_float():
+    table = ResultTable("x", ("a",), [], {"inf": [math.inf, -math.inf], "ok": 1.5,
+                                         "nested": {"t": (1, math.nan)}})
+    assert json.loads(table.summary_json()) == {"inf": [None, None], "ok": 1.5,
+                                                "nested": {"t": [1, None]}}
 
 
 def test_worker_determinism_small(tmp_path):

@@ -36,7 +36,7 @@ def test_caterpillar_example_counts():
     tiny = build_caterpillar(CaterpillarSpec(0, 1))
     assert tiny.graph.vertex_count == 2 and tiny.graph.edge_count == 1
     cat2 = build_caterpillar(CaterpillarSpec(2, 2))
-    assert cat2.graph.degree(cat2.spine[1]) == 4  # 2 spine + 2 clique neighbors
+    assert len(cat2.graph.adjacency[cat2.spine[1]]) == 4  # 2 spine + 2 clique neighbors
 
 
 def test_caterpillar_closed_forms_and_connectivity():

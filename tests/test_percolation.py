@@ -11,12 +11,13 @@ from geocp.graphs import (CaterpillarSpec, Graph, _components, build_caterpillar
                           build_complete, random_connected_graph)
 from geocp.percolation import (SiteGrid, _polish, crossing_frequency, find_long_open_path,
                                glue_plane_paths, grid_from_field,
-                               has_crossing, longest_open_path_exact, path_is_valid,
+                               has_crossing, longest_open_path_exact,
                                op_survival_frequency, path_to_text, sample_site_grid,
                                sample_uniform_field)
 from geocp.rgg import GeometryConfig, find_caterpillar_embedding, sample_poisson_points
 from graph_helpers import diameter
 from percolation_reference import find_long_open_path as earlier_long_path
+from percolation_reference import path_is_valid
 
 
 def test_site_grid_degenerate_p():

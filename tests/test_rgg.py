@@ -8,8 +8,9 @@ import pytest
 
 from geocp import rgg as rgg_module
 from geocp.rgg import (GeometryConfig, PointCloud, _cell_keys, _half_steps, build_rgg,
-                       build_rgg_bruteforce, discretize_boxes, embedding_is_valid,
-                       find_caterpillar_embedding, sample_poisson_points, to_point_text)
+                       discretize_boxes, embedding_is_valid, find_caterpillar_embedding,
+                       sample_poisson_points, to_point_text)
+from graph_helpers import build_rgg_bruteforce, fingerprint
 
 
 def test_poisson_count_moments():
@@ -224,7 +225,7 @@ def test_rgg_fingerprint_golden():
     for (n, radius, d), seed, count, edges, digest in cases:
         cloud = sample_poisson_points(GeometryConfig(n, radius, d), seed)
         g = build_rgg(cloud, radius)
-        assert (len(cloud), g.edge_count, g.fingerprint()) == (count, edges, digest)
+        assert (len(cloud), g.edge_count, fingerprint(g)) == (count, edges, digest)
 
 
 def test_build_rgg_memory_per_adjacency_entry():
@@ -267,7 +268,7 @@ def test_rgg_wide_grid_matches_bruteforce():
     assert 0 <= key.min() and key.max() + max(_half_steps(width, 8)) < 2**62
     g = build_rgg(cloud, 0.01)
     assert g.adjacency == build_rgg_bruteforce(cloud, 0.01).adjacency
-    assert {(0, 1), (0, 2), (1, 2)} <= set(g.edges()) and g.degree(3) == 0
+    assert {(0, 1), (0, 2), (1, 2)} <= set(g.edges()) and g.adjacency[3] == ()
     wide = build_rgg(cloud, 1.0)
     assert wide.adjacency == build_rgg_bruteforce(cloud, 1.0).adjacency
     # from dim 32 no padded grid of 3+ cells per axis fits in 2^62 keys
@@ -330,6 +331,14 @@ def test_geometry_config_rejects_non_finite():
         with pytest.raises(ValueError):
             GeometryConfig(n, radius, 2)
     assert GeometryConfig(100.0, math.inf, 2).radius == math.inf
+
+
+def test_geometry_config_requires_an_integer_dim():
+    # dim = 2.5 once passed and failed later inside numpy's sampler
+    for bad in (2.5, 2.0, True, False, "2", None):
+        with pytest.raises(ValueError, match="dim"):
+            GeometryConfig(100.0, 1.0, bad)
+    assert GeometryConfig(100.0, 1.0, np.int64(3)).domain_side == pytest.approx(100.0 ** (1 / 3))
 
 
 def test_point_cloud_rejects_bad_box_side():

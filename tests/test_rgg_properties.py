@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geocp.rgg import PointCloud, build_rgg, build_rgg_bruteforce
+from geocp.rgg import PointCloud, build_rgg
+from graph_helpers import build_rgg_bruteforce
 
 
 @st.composite

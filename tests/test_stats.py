@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geocp.stats import TauBatch, fit_loglinear, ks_to_exp1
+from geocp.stats import fit_loglinear, ks_to_exp1, tau_summary
 
 
 def test_ks_exact_quantile_sample():
@@ -82,22 +82,40 @@ def test_fit_loglinear_rejects_non_finite(xs, ys):
         fit_loglinear(xs, ys)
 
 
-def test_tau_batch_merge_order_independent():
-    a, b, c = TauBatch(), TauBatch(), TauBatch()
-    for i, batch in enumerate((a, b, c)):
-        for k in range(5):
-            batch.add(float(i * 5 + k), censored=(k == 4))
-    s1 = a.merge(b).merge(c).summary()
-    s2 = c.merge(a).merge(b).summary()
-    assert s1 == s2
-    assert s1.count == 12 and s1.censored_count == 3
-
-
 def test_summary_moments():
-    batch = TauBatch()
-    for v in (1.0, 2.0, 3.0, 4.0):
-        batch.add(v)
-    s = batch.summary()
-    assert s.mean == pytest.approx(2.5)
-    assert s.se == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2)
-    assert s.quantiles[1] == pytest.approx(2.5)
+    s = tau_summary([1.0, 2.0, 3.0, 4.0], [False] * 4)
+    assert s["mean"] == pytest.approx(2.5)
+    assert s["se"] == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2)
+    assert s["quantiles"][1] == pytest.approx(2.5)
+
+
+def test_summary_all_censored():
+    s = tau_summary([2.0, 2.0, 2.0], [True] * 3)
+    assert (s["count"], s["censored_count"]) == (0, 3)
+    assert all(math.isnan(x) for x in [s["mean"], s["se"], *s["quantiles"]])
+    empty = tau_summary([], [])
+    assert (empty["count"], empty["censored_count"]) == (0, 0) and math.isnan(empty["mean"])
+
+
+def test_summary_one_value():
+    s = tau_summary([3.5], [False])
+    assert (s["count"], s["censored_count"], s["mean"]) == (1, 0, 3.5)
+    assert s["quantiles"] == [3.5, 3.5, 3.5] and math.isnan(s["se"])
+
+
+def test_summary_mixed_counts_censored_and_ignores_their_values():
+    taus = [5.0, 1.0, 99.0, 3.0, 99.0, 2.0]
+    cens = [False, False, True, False, True, False]
+    s = tau_summary(taus, cens)
+    assert (s["count"], s["censored_count"]) == (4, 2)
+    assert s == tau_summary([1.0, 2.0, 3.0, 5.0], [False] * 4) | {"censored_count": 2}
+    assert s["mean"] == 2.75 and s["quantiles"] == [1.75, 2.5, 3.5]
+    # the values are sorted before the mean, so the input order never shows
+    assert tau_summary(taus[::-1], cens[::-1]) == s
+    assert all(type(v) is float for v in [s["mean"], s["se"], *s["quantiles"]])
+    assert type(s["count"]) is int and type(s["censored_count"]) is int
+
+
+def test_summary_rejects_mismatched_flags():
+    with pytest.raises(ValueError, match="equal length"):
+        tau_summary([1.0, 2.0], [False])
