@@ -10,7 +10,9 @@ Two routes sample the process:
 * one next-event (Gillespie) engine, `_extinction_kernel`, behind
   `simulate_extinction`, `sample_extinction_times` and `lit_snapshots`.  It
   keeps an integer bookkeeping of healthy-vertex infection pressures in
-  plain Python over the graph's adjacency tuples.  Pressures are also summed
+  plain Python over the graph's adjacency tuples.  An event updates only
+  healthy neighbours, so an infected vertex's count of infected neighbours
+  goes stale and is recounted when it recovers.  Pressures are also summed
   per block of 64 vertices, so the infection target is found by a search
   over the block sums and then inside one block instead of a walk over
   every vertex.  The sums are integer-exact and re-audited against a
@@ -101,9 +103,10 @@ class _StartState(NamedTuple):
     """Kernel bookkeeping at time 0, copied into every replica.
 
     healthy[v] is 1 for a healthy vertex and 0 for an infected one, and
-    nb[v] counts the infected neighbors of v.  The infection pressure of v
-    is healthy[v] * nb[v]; block[b] sums it over the vertices whose index
-    shifted right by _BLOCK_SHIFT is b, and pressure sums all of it.
+    nb[v] counts the infected neighbors of v (the kernel keeps it only
+    while v is healthy, and recounts it when v recovers).  The infection
+    pressure of v is healthy[v] * nb[v]; block[b] sums it over the vertices
+    whose index shifted right by _BLOCK_SHIFT is b, and pressure all of it.
     `infected` lists the infected vertices in ascending order.
     """
 
@@ -261,14 +264,16 @@ def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, l
             inf_list[idx] = inf_list[-1]
             inf_list.pop()
             healthy[v] = 1
-            p = nb[v]
-            S += p
-            block[v >> shift] += p
+            p = 0  # v's nb went stale while it was infected: recount it
             for w in adjacency[v]:
-                nb[w] -= 1
                 if healthy[w]:
+                    nb[w] -= 1
                     block[w >> shift] -= 1
-                    S -= 1
+                else:
+                    p += 1
+            nb[v] = p
+            S += 2 * p - len(adjacency[v])  # v's pressure in, one per healthy neighbour out
+            block[v >> shift] += p
         else:
             u = ((words[i] >> 5) * 67108864.0 + (words[i + 1] >> 6)) * scale
             i += 2
@@ -276,13 +281,12 @@ def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, l
             healthy[v] = 0
             inf_list.append(v)
             p = nb[v]
-            S -= p
+            S += len(adjacency[v]) - 2 * p  # one per healthy neighbour in, v's pressure out
             block[v >> shift] -= p
             for w in adjacency[v]:
-                nb[w] += 1
                 if healthy[w]:
+                    nb[w] += 1
                     block[w >> shift] += 1
-                    S += 1
         if events >= next_audit:
             next_audit += audit_every
             sums = _block_sums(healthy, nb)

@@ -11,6 +11,13 @@ import numpy as np
 from .rng import mix64
 
 
+def _vertex_count(n, least: int, rule: str) -> int:
+    """`n` as an int if it is an integer >= least, bools aside; else ValueError(rule)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{rule}, not {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph with dense integer vertex ids 0..n-1.
@@ -41,13 +48,12 @@ class Graph:
 
         Every adjacency tuple points at one shared `int` per vertex id, so
         the graph keeps about 8.75 bytes per directed entry (n = 4000,
-        mean degree 106).  The int64 sort key is freed before the tuples
-        are built, so the call peaks at about 17 bytes per entry beyond
-        its input: the flat neighbour list beside the tuples.
+        mean degree 106).  The sort key is int32 while n^2 < 2^31 and int64
+        beyond; it is freed before the tuples are built, so the call peaks
+        at about 17 bytes per entry beyond its input: the object array of
+        neighbour ids beside the tuples.
         """
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
-        n = vertex_count
+        n = _vertex_count(vertex_count, 0, "vertex_count must be a non-negative integer")
         arr = edges if isinstance(edges, np.ndarray) else np.array(list(edges))
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)
@@ -65,11 +71,12 @@ class Graph:
                 raise ValueError(f"edge ({ak},{bk}) out of range for {n} vertices")
             raise ValueError(f"self-loop at vertex {ak}")
         del outside, bad
-        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
-        # both directions keyed src*n + dst: one sort orders them, and
-        # duplicates, now adjacent, drop out
+        dtype = np.int32 if n * n < 2**31 else np.int64
+        a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+        # both directions keyed src*n + dst, in int32 while n^2 fits: one
+        # sort orders them, and duplicates, now adjacent, drop out
         m = len(a)
-        key = np.empty(2 * m, dtype=np.int64)
+        key = np.empty(2 * m, dtype=dtype)
         np.multiply(a, n, out=key[:m])
         key[:m] += b
         np.multiply(b, n, out=key[m:])
@@ -80,13 +87,13 @@ class Graph:
         if dup.any():
             key = key[np.r_[True, ~dup]]
         del dup
-        ends = np.searchsorted(key, np.arange(1, n + 1) * n).tolist()
+        # bounds in the key's dtype, which searchsorted would otherwise copy
+        ends = np.searchsorted(key, np.arange(1, n + 1, dtype=dtype) * n).tolist()
         key %= n
         # index one object array of the n ids: every tuple shares its ints
         flat = np.arange(n).astype(object)[key]
         del key
-        flat = flat.tolist()
-        return cls(tuple(tuple(flat[s:e]) for s, e in zip([0] + ends[:-1], ends)))
+        return cls(tuple(tuple(flat[s:e].tolist()) for s, e in zip([0] + ends[:-1], ends)))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (a, b) with a < b, ascending."""
@@ -106,8 +113,7 @@ class Graph:
 
 def build_complete(m: int) -> Graph:
     """Complete graph on m >= 1 vertices."""
-    if m < 1:
-        raise ValueError("complete graph needs at least one vertex")
+    m = _vertex_count(m, 1, "a complete graph needs a positive integer vertex count")
     ids = list(range(m))  # one int object per vertex, shared by every tuple
     return Graph(tuple(tuple(w for w in ids if w != v) for v in range(m)))
 
@@ -218,11 +224,9 @@ def _components(adjacency) -> list[list[int]]:
 
 def random_connected_graph(vertex_count: int, extra_edges: int, seed: int) -> Graph:
     """Random connected graph: uniform labeled tree plus extra random edges."""
-    if vertex_count < 1:
-        raise ValueError("need at least one vertex")
-    if vertex_count == 1:
+    n = _vertex_count(vertex_count, 1, "vertex_count must be a positive integer")
+    if n == 1:
         return Graph.from_edges(1, [])
-    n = vertex_count
     edges: set[tuple[int, int]] = set()
     if n == 2:
         edges.add((0, 1))

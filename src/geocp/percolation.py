@@ -654,20 +654,19 @@ def _op_start(ell: int, initial: frozenset[int], seeds):
 
 def _op_step(keys: np.ndarray, t: int, occ: np.ndarray, q: float):
     """The oriented-percolation stepper: from the occupancy `occ` at step t,
-    returns the flags `left` and `right` of the arrows out of step t and the
-    occupancy at step t + 1.  Only the sites i with i + t even can be
-    occupied, so only they are hashed: there left[r, i] is
-    arrow_open(seed_r, i, t, 0, q) and right[r, i] is
-    arrow_open(seed_r, i, t, 1, q), bit for bit; elsewhere both are False."""
+    returns the flags of the arrows out of step t and the occupancy at step
+    t + 1.  Only the sites i with i + t even can be occupied, so only they
+    are hashed: flags[r, i // 2, d] is arrow_open(seed_r, i, t, d, q), bit
+    for bit, for direction d = 0 (to i - 1) and d = 1 (to i + 1)."""
     p = t % 2
     h = mix64_array(t, state=keys[:, p::2])
     # u < q exactly when (hash >> 11) < q * 2^53
     flags = mix64_array(_DIRECTIONS, state=h[..., None]) >> _SHIFT < q * 2.0**53
-    left, right, nxt = np.zeros((3,) + occ.shape, dtype=bool)
-    left[:, p::2], right[:, p::2] = flags[..., 0], flags[..., 1]
-    nxt[:, :-1] = occ[:, 1:] & left[:, 1:]
-    nxt[:, 1:] |= occ[:, :-1] & right[:, :-1]
-    return left, right, nxt
+    here = occ[:, p::2]
+    nxt = np.zeros((len(occ), occ.shape[1] + 2), dtype=bool)  # site i in column i + 1
+    nxt[:, p:-2:2] = here & flags[..., 0]
+    nxt[:, p + 2::2] |= here & flags[..., 1]
+    return flags, nxt[:, 1:-1]
 
 
 def op_run(ell: int, q: float, initial: Iterable[int], horizon: int, seed: int) -> OrientedRun:
@@ -681,12 +680,12 @@ def op_run(ell: int, q: float, initial: Iterable[int], horizon: int, seed: int) 
     keys, occ = _op_start(ell, occupancy[0], seed)
     while len(occupancy) <= horizon and occupancy[-1]:
         t = len(occupancy) - 1
-        go_left, go_right, occ = _op_step(keys, t, occ, q)
+        flags, occ = _op_step(keys, t, occ, q)
         for i in occupancy[-1]:
             if i > 0:
-                arrows[(i, t, 0)] = bool(go_left[0, i])
+                arrows[(i, t, 0)] = bool(flags[0, i // 2, 0])
             if i < ell:
-                arrows[(i, t, 1)] = bool(go_right[0, i])
+                arrows[(i, t, 1)] = bool(flags[0, i // 2, 1])
         occupancy.append(frozenset(occ[0].nonzero()[0].tolist()))
     extinction = None if occupancy[-1] else len(occupancy) - 1
     left = tuple(min(s) if s else None for s in occupancy)
@@ -710,7 +709,7 @@ def op_first_passage(ell: int, q: float, seed: int) -> FirstPassage:
     while not occ[0, ell]:
         if t == 2 * ell or not occ.any():
             return FirstPassage(None, True)
-        occ = _op_step(keys, t, occ, q)[2]
+        occ = _op_step(keys, t, occ, q)[1]
         t += 1
     return FirstPassage(t, False)
 
@@ -783,7 +782,7 @@ def _simulate_batch(ell: int, q: float, steps: int, replicas: int, seed: int,
             live, keys, occ = live[alive], keys[alive], occ[alive]
         if t == steps or not live.size:
             break
-        occ = _op_step(keys, t, occ, q)[2]
+        occ = _op_step(keys, t, occ, q)[1]
     final = np.zeros((replicas, ell + 1), dtype=bool)
     final[live] = occ
     return final, extinct_at

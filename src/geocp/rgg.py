@@ -103,7 +103,9 @@ def sample_poisson_points(cfg: GeometryConfig, seed: int) -> PointCloud:
 
 
 def _pair_edges(a_pts: np.ndarray, b_pts: np.ndarray, r2: float) -> np.ndarray:
-    d2 = ((a_pts[:, None, :] - b_pts[None, :, :]) ** 2).sum(axis=2)
+    d2 = 0.0  # summed over the axes in order, as build_rgg sums them
+    for k in range(a_pts.shape[1]):
+        d2 = d2 + (a_pts[:, None, k] - b_pts[None, :, k]) ** 2
     return d2 <= r2
 
 
@@ -194,14 +196,18 @@ def build_rgg(cloud: PointCloud, radius: float) -> Graph:
     half-neighbour cells.  When fewer cells are occupied than there are
     such offsets (a sparse cloud in high dimension), the occupied cells are
     compared with each other instead of visiting every offset.  A
-    candidate pair is an edge when its squared distance, summed over the
-    axes in order, is <= radius^2, so the result equals a quadratic scan
-    of all pairs that sums the same way, exactly.
+    candidate pair is an edge when its squared distance is <= radius^2.
+    Each batch of pairs gathers from per-axis coordinate columns in cell
+    order and adds the squared gaps in place, axis 0 first, so the result
+    equals a quadratic scan of all pairs that sums the axes in the same
+    order, exactly, in any dimension.
 
     The edges go to `Graph.from_edges` as one (m, 2) int64 array, after
     the search's own arrays are freed: the graph keeps about 8.75 bytes
-    per directed adjacency entry, and the build peaks at about 25
-    (n = 4000, radius 6, d = 2).  The cloud's points are never written.
+    per directed adjacency entry.  The build peaks inside `from_edges`, at
+    about 25 bytes per entry counting the edge array (n = 4000, radius 6,
+    d = 2); a batch's scratch, three floats per pair, stays below that.
+    The cloud's points are never written.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
@@ -211,14 +217,21 @@ def build_rgg(cloud: PointCloud, radius: float) -> Graph:
     key, width = _cell_keys(cloud.points, radius)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    pts = cloud.points[order]
+    cols = [cloud.points[order, k] for k in range(cloud.dim)]  # contiguous, in cell order
     r2 = radius * radius
     src, dst = [], []
     for i, j in _candidate_pairs(key, width, cloud.dim):
-        near = ((pts[i] - pts[j]) ** 2).sum(axis=1) <= r2
+        d2 = np.zeros(len(i))
+        for c in cols:
+            gap = c[i]
+            gap -= c[j]
+            gap *= gap
+            d2 += gap
+        near = d2 <= r2
+        del d2, gap  # before the next batch is gathered
         src.append(order[i[near]])
         dst.append(order[j[near]])
-    del key, pts, order, i, j, near
+    del key, cols, c, order, i, j, near
     edges = np.empty((sum(map(len, src)), 2), dtype=np.int64)
     np.concatenate(src, out=edges[:, 0])
     del src

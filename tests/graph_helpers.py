@@ -18,13 +18,17 @@ def fingerprint(g: Graph) -> str:
 
 def build_rgg_bruteforce(cloud: PointCloud, radius: float) -> Graph:
     """Quadratic reference construction: the independent check for the
-    sorted-cell builder `geocp.rgg.build_rgg`."""
+    sorted-cell builder `geocp.rgg.build_rgg`.  The squared distance is
+    summed over the axes in order, as the builder sums it, in any dimension
+    (numpy's `.sum(axis=1)` adds pairwise from eight axes on)."""
     pts = cloud.points
     n = len(cloud)
     r2 = radius * radius
     edges = []
     for i in range(n):
-        d2 = ((pts[i + 1:] - pts[i]) ** 2).sum(axis=1)
+        d2 = 0.0
+        for k in range(cloud.dim):
+            d2 = d2 + (pts[i + 1:, k] - pts[i, k]) ** 2
         for j in np.nonzero(d2 <= r2)[0]:
             edges.append((i, i + 1 + int(j)))
     return Graph.from_edges(n, edges)

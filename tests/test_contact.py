@@ -488,17 +488,28 @@ def _small_rgg():
 
 
 def test_audit_every_event_changes_nothing():
-    cells = [(build_complete(5), 1.0, -1.0),
-             (build_caterpillar(CaterpillarSpec(1, 4)).graph, 1.0, 20.0),
-             (_small_rgg(), 0.3, 10.0)]
+    """The kernel lets an infected vertex's infected-neighbour count go
+    stale and recounts it at recovery: an audit after every event, and the
+    reference, which keeps every count exact, see the plain run's replica,
+    on a dense RGG too, started full and from one vertex."""
+    dense = rgg.build_rgg(rgg.sample_poisson_points(rgg.GeometryConfig(400.0, 4.0, 2), 3), 4.0)
+    assert dense.edge_count > 20 * dense.vertex_count and dense.adjacency[0]
+    cells = [(build_complete(5), None, 1.0, -1.0),
+             (build_caterpillar(CaterpillarSpec(1, 4)).graph, None, 1.0, 20.0),
+             (_small_rgg(), None, 0.3, 10.0),
+             (dense, None, 0.1, 4.0),
+             (dense, [0], 0.1, 4.0)]
     mt = _legacy_mt()
-    for g, lam, cap in cells:
-        start = _start_state(g.adjacency, _healthy_flags(g.vertex_count, None))
+    for g, initial, lam, cap in cells:
+        start = _start_state(g.adjacency, _healthy_flags(g.vertex_count, initial))
+        events = []
         for seed in range(5):
             plain = _extinction_kernel(g.adjacency, start, lam, cap, mt, seed)
             audited = _extinction_kernel(g.adjacency, start, lam, cap, mt, seed, audit_every=1)
             assert audited == plain
-            assert plain[2] > 0
+            assert _reference_kernel(g, initial, lam, cap, seed, 1.0)[0] == plain
+            events.append(plain[2])
+        assert min(events) > 0 and (g is not dense or max(events) > 1000)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

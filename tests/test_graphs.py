@@ -156,6 +156,42 @@ def test_from_edges_matches_a_set_reference(case):
         assert arr.dtype == copy.dtype and np.array_equal(arr, copy)
 
 
+def test_from_edges_at_the_key_width_boundary():
+    # 46340^2 < 2^31 <= 46341^2: the first sorts int32 keys, the second
+    # int64, and edges among the top ids carry the largest keys of each
+    for n in (46_340, 46_341):
+        top = n - 1
+        pairs = [(top, top - 1), (0, top), (top - 2, top), (top - 1, top), (top - 1, 1), (5, 4)]
+        got = Graph.from_edges(n, np.array(pairs, dtype=np.int64)).adjacency
+        ref = [set() for _ in range(n)]
+        for a, b in pairs:
+            ref[a].add(b)
+            ref[b].add(a)
+        assert got == tuple(tuple(sorted(s)) for s in ref)
+        assert all(type(w) is int for nbrs in got for w in nbrs)
+        assert len({id(w) for nbrs in got for w in nbrs}) == len({w for nbrs in got for w in nbrs})
+
+
+def test_vertex_counts_must_be_integers():
+    # a float or a bool is refused before it reaches the key arithmetic
+    for n in (3.0, True, False, 2.5, "3", None):
+        with pytest.raises(ValueError, match="integer"):
+            Graph.from_edges(n, [(0, 1)])
+        with pytest.raises(ValueError, match="integer"):
+            build_complete(n)
+        with pytest.raises(ValueError, match="integer"):
+            random_connected_graph(n, 1, 0)
+    for bad in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError, match="positive integer"):
+            build_complete(bad)
+        with pytest.raises(ValueError, match="positive integer"):
+            random_connected_graph(bad, 0, 0)
+    assert Graph.from_edges(np.int64(3), [(0, 1)]) == Graph.from_edges(3, [(0, 1)])
+    assert type(Graph.from_edges(np.int32(2), [(0, 1)]).adjacency[0][0]) is int
+    assert build_complete(np.int64(4)) == build_complete(4)
+    assert random_connected_graph(np.int64(5), 2, 7) == random_connected_graph(5, 2, 7)
+
+
 def test_build_complete_shares_one_int_per_vertex():
     adj = build_complete(300).adjacency
     assert len({id(w) for nbrs in adj for w in nbrs}) == 300

@@ -67,6 +67,50 @@ def test_rgg_matches_bruteforce():
         assert fast.adjacency == slow.adjacency
 
 
+def test_rgg_matches_bruteforce_on_integer_lattices():
+    # integer coordinates and radii make every squared distance exact, so
+    # many pairs sit at exactly R, in every dimension the builder serves
+    rng = np.random.default_rng(11)
+    for d in range(1, 11):
+        side = 6 if d <= 3 else (2 if d <= 6 else 1)
+        pts = rng.integers(0, side + 1, (80 if d > 1 else 12, d)).astype(float)
+        cloud = PointCloud(pts, float(side))
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        exact = 0
+        for radius in (1.0, 2.0, 3.0):
+            g = build_rgg(cloud, radius)
+            assert g.adjacency == build_rgg_bruteforce(cloud, radius).adjacency, (d, radius)
+            at_r = np.argwhere(np.triu(d2 == radius * radius, 1)).tolist()
+            assert all(b in g.adjacency[a] for a, b in at_r)
+            exact += len(at_r)
+        assert exact >= 40, d
+
+
+def test_rgg_sums_the_axes_in_order():
+    # from eight axes on, numpy's .sum(axis=1) adds pairwise; pairs whose
+    # in-order squared distance sits on the other side of R^2 from the
+    # pairwise one are edges exactly when the in-order sum is <= R^2
+    rng = np.random.default_rng(3)
+    seen = {True: 0, False: 0}
+    for _ in range(1000):
+        d = int(rng.integers(8, 11))
+        a = rng.random(d) + 1.0
+        b = a + rng.normal(0.0, 0.3, d)
+        gap2 = (a - b) ** 2
+        in_order = float(np.cumsum(gap2)[-1])  # added left to right
+        radius = math.sqrt(in_order)
+        r2 = radius * radius
+        if (in_order <= r2) == (gap2.sum() <= r2) or b.min() < 0.0 or b.max() > 4.0:
+            continue
+        edge = in_order <= r2
+        seen[edge] += 1
+        cloud = PointCloud(np.array([a, b]), 4.0)
+        assert build_rgg(cloud, radius).edge_count == edge
+        assert build_rgg_bruteforce(cloud, radius).edge_count == edge
+        assert rgg_module._pair_edges(a[None], b[None], r2)[0, 0] == edge
+    assert min(seen.values()) >= 20
+
+
 def test_rgg_relabeling_isomorphism():
     rng = np.random.default_rng(42)
     pts = rng.random((60, 2)) * 5.0
