@@ -15,7 +15,7 @@ from .exact import (clique_extinction_rates, exact_expected_extinction_ctmc,
                     log_exact_clique_extinction, sample_clique_extinction_times)
 from .graphs import (CaterpillarGraph, CaterpillarSpec, Graph, build_caterpillar,
                      build_complete, random_connected_graph)
-from .percolation import (EdgeTrack, OrientedRun, SiteGrid, find_long_open_path,
+from .percolation import (OrientedRun, SiteGrid, find_long_open_path,
                           full_interval_initial, glue_plane_paths,
                           longest_open_path_exact, op_exact_survival,
                           op_extinction_profile_exact, op_first_passage, op_run,

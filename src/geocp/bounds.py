@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import math
 
+from .errors import as_int
+
 
 def _check_graph(v: int, e: int, lam: float) -> None:
     """Written so that NaN fails every check."""
-    if not v >= 1:
-        raise ValueError("graph must have at least one vertex")
-    if not e >= 0:
-        raise ValueError("edge count must be non-negative")
+    as_int(v, "the vertex count must be a positive integer", 1)
+    as_int(e, "the edge count must be a non-negative integer")
     if not 0.0 <= lam < math.inf:
         raise ValueError("lam must be finite and non-negative")
 
@@ -36,8 +36,9 @@ def rgg_log_tau_scale(n: float, lam: float, radius: float, dim: int) -> float:
     would be non-positive (or not a number) and the prediction does not
     apply.  The checks are written so that NaN fails them.
     """
-    if not (n > 0 and radius > 0 and dim >= 1):
-        raise ValueError("need n > 0, radius > 0, dim >= 1")
+    dim = as_int(dim, "dim must be a positive integer", 1)
+    if not (n > 0 and radius > 0):
+        raise ValueError("need n > 0 and radius > 0")
     lrd = lam * radius**dim
     if not 1.0 < lrd < math.inf:
         raise ValueError(

@@ -20,9 +20,9 @@ Two routes sample the process:
   private legacy numpy RandomState, bit for bit: the engine reads its raw
   MT19937 words in bulk and decodes them with numpy's own frozen legacy
   formulas, which saves numpy's per-call overhead on every event; numpy's
-  global random state is never touched.  The engine can record the
-  infected set at a fixed cadence, which draws nothing, so a recorded run
-  is the same replica as an unrecorded one.
+  global random state is never touched.  The engine stops at any time and
+  resumes, and stopping draws nothing: the cap and the lit snapshots are
+  stops its callers choose, and a stopped run is the same replica.
 
 * a graphical construction over a fixed time window, built from
   counter-based clock streams keyed by (seed, stream id, occurrence
@@ -51,6 +51,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import as_int
 from .graphs import CaterpillarGraph, Graph
 from .rng import TAG_CLOCK, TAG_CONTACT, TAG_MARK, mix64, mix64_array
 
@@ -187,11 +188,14 @@ _EVENT_WORDS = 6  # words an event takes, rejected slot draws aside: three unifo
 
 
 def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, lam: float,
-                       t_cap: float, mt: _LegacyMT, seed: int,
-                       audit_every: int = 1_000_000, snapshots: list | None = None,
-                       cadence: float = 0.0) -> tuple[float, bool, int]:
-    """One replica from `start`, which is left unchanged; t_cap < 0 means
-    no cap.  Returns (tau, censored, events).
+                       mt: _LegacyMT, seed: int, stop: float, audit_every: int = 1_000_000):
+    """One replica from `start`, left unchanged, as a generator: it applies
+    every event at or before `stop`, then yields (infected, events, t), the
+    infected list at `stop` (the kernel's own: read it, do not change it),
+    the event count so far and the last event time.  `send(s)` resumes it
+    up to a later stop s with the pending event's draws kept, so where a
+    run stops never changes the replica; callers choose the stops (a cap,
+    snapshot times).  At extinction it yields the empty list with tau.
 
     `mt` is reseeded with `seed` (< 2**31), and each event draws, in this
     order: the waiting time, the event kind, then the recovering vertex's
@@ -201,10 +205,6 @@ def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, l
     from two words, and a slot in [0, k) is randint(0, k)'s masked
     rejection, one word per try, with nothing drawn for k = 1.  Every
     `audit_every` events the block sums and the pressure sum are recounted.
-
-    With a `snapshots` list, (j * cadence, frozenset(infected)) is appended
-    for every j * cadence up to the smaller of the next event time and the
-    cap, before that event applies.  Recording draws nothing.
     """
     mt.rs.seed(seed)
     raw = mt.bits.random_raw
@@ -215,7 +215,6 @@ def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, l
     scale = 2.0 ** -53
     log = math.log
     shift = _BLOCK_SHIFT
-    horizon = t_cap if t_cap >= 0.0 else math.inf
     healthy = start.healthy[:]
     nb = start.nb[:]
     block = start.block[:]
@@ -224,8 +223,6 @@ def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, l
     t = 0.0
     events = 0
     next_audit = audit_every
-    snap_index = 0
-    next_snap = math.inf if snapshots is None else 0.0
     while inf_list:
         if i > top:
             words = words[i:] + raw(fetch).tolist()
@@ -235,13 +232,8 @@ def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, l
         total = k + lam * S
         u = ((words[i] >> 5) * 67108864.0 + (words[i + 1] >> 6)) * scale
         t_next = t - log(1.0 - u) / total  # bitwise t + Exp(total)
-        if t_next >= next_snap:
-            while next_snap <= t_next and next_snap <= horizon:
-                snapshots.append((next_snap, frozenset(inf_list)))
-                snap_index += 1
-                next_snap = snap_index * cadence
-        if t_next > horizon:
-            return t_cap, True, events
+        while t_next > stop:
+            stop = yield inf_list, events, t
         t = t_next
         events += 1
         u = ((words[i + 2] >> 5) * 67108864.0 + (words[i + 3] >> 6)) * scale
@@ -292,7 +284,7 @@ def _extinction_kernel(adjacency: Sequence[Sequence[int]], start: _StartState, l
             sums = _block_sums(healthy, nb)
             if sums != block or sum(sums) != S:
                 raise RuntimeError("infection-pressure bookkeeping diverged")
-    return t, False, events
+    yield inf_list, events, t
 
 
 def simulate_extinction(g: Graph, cfg: ContactConfig, initial: Iterable[int] | None = None) -> TauSample:
@@ -308,14 +300,18 @@ def simulate_extinction(g: Graph, cfg: ContactConfig, initial: Iterable[int] | N
     return TauSample(float(tau), bool(censored), cfg.seed)
 
 
-def _replica(g: Graph, cfg: ContactConfig, initial: Iterable[int] | None,
-             snapshots: list | None = None, cadence: float = 0.0) -> tuple[float, bool, int]:
-    """The kernel run behind `simulate_extinction` and `lit_snapshots`."""
+def _run(g: Graph, cfg: ContactConfig, initial: Iterable[int] | None, stop: float):
+    """The kernel generator of the replica `simulate_extinction(g, cfg, initial)`."""
     healthy = _healthy_flags(g.vertex_count, initial)
-    cap = -1.0 if cfg.t_cap is None else float(cfg.t_cap)
     return _extinction_kernel(g.adjacency, _start_state(g.adjacency, healthy), float(cfg.lam),
-                              cap, _legacy_mt(), cfg.seed & 0x7FFFFFFF,
-                              snapshots=snapshots, cadence=cadence)
+                              _legacy_mt(), cfg.seed & 0x7FFFFFFF, stop)
+
+
+def _replica(g: Graph, cfg: ContactConfig, initial: Iterable[int] | None) -> tuple[float, bool, int]:
+    """`simulate_extinction`'s (tau, censored, events): one stop at the cap."""
+    cap = math.inf if cfg.t_cap is None else float(cfg.t_cap)
+    infected, events, t = next(_run(g, cfg, initial, cap))
+    return (cap, True, events) if infected else (t, False, events)
 
 
 def replica_seed(master_seed: int, i: int) -> int:
@@ -334,23 +330,22 @@ def sample_extinction_times(g: Graph, lam: float, t_cap: float | None, master_se
     lam = 0.2 has E[tau] ~ 3.4e11): size it first with
     `exact.log_exact_clique_extinction` or the exact CTMC."""
     _check_rates(lam, t_cap)
-    if isinstance(replicas, bool) or not isinstance(replicas, (int, np.integer)) or replicas < 0:
-        raise ValueError("replicas must be a non-negative integer")
+    replicas = as_int(replicas, "replicas must be a non-negative integer")
     healthy = _healthy_flags(g.vertex_count, initial)
-    taus = np.empty(replicas)
-    censored = np.empty(replicas, dtype=bool)
     if replicas == 0:
-        return taus, censored
+        return np.empty(0), np.empty(0, dtype=bool)
     start = _start_state(g.adjacency, healthy)
     mt = _legacy_mt()
     lam = float(lam)
-    cap = -1.0 if t_cap is None else float(t_cap)
+    cap = math.inf if t_cap is None else float(t_cap)
+    taus, censored = [], []
     for i in range(replicas):
-        tau, cens, _ = _extinction_kernel(g.adjacency, start, lam, cap, mt,
-                                          replica_seed(master_seed, i))
-        taus[i] = tau
-        censored[i] = cens
-    return taus, censored
+        run = _extinction_kernel(g.adjacency, start, lam, mt, replica_seed(master_seed, i), cap)
+        infected, _, tau = next(run)
+        censored.append(len(infected) > 0)
+        # next(run, tau) ends an extinct run, cheaper than dropping it suspended
+        taus.append(cap if infected else next(run, tau))
+    return np.array(taus), np.array(censored)
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +611,11 @@ def birth_death_clique_simulate(m: int, lam: float, initial_count: int, seed: in
     """Extinction time on a complete graph simulated through the infected
     count only (exact reduction: all vertices of a clique are exchangeable)."""
     _check_rates(lam, t_cap)
-    if not (0 <= initial_count <= m):
-        raise ValueError("initial count must lie in [0, m]")
+    m = as_int(m, "the clique size m must be a positive integer", 1)
+    k = as_int(initial_count, "initial count must be an integer in [0, m]")
+    if k > m:
+        raise ValueError(f"initial count must be an integer in [0, m], not {k} > {m}")
     rng = np.random.default_rng(mix64(seed, TAG_CONTACT, 0x4244))
-    k = initial_count
     t = 0.0
     while k > 0:
         up = lam * k * (m - k)
@@ -638,9 +634,11 @@ def birth_death_clique_simulate(m: int, lam: float, initial_count: int, seed: in
 def lit_snapshots(cat: CaterpillarGraph, cfg: ContactConfig, cadence: float | None = None,
                   initial: Iterable[int] | None = None) -> list[LitSnapshot]:
     """Record, at times 0, T, 2T, ..., which spine vertices are lit, i.e.
-    whose clique holds at least clique_size/4 infected vertices.  Snapshots
-    stop at extinction or at cfg.t_cap, and the run is the replica
-    `simulate_extinction(cat.graph, cfg, initial)`.
+    whose clique holds at least clique_size/4 infected vertices.  The run
+    is the replica `simulate_extinction(cat.graph, cfg, initial)`, stopped
+    at each j*T <= cfg.t_cap until extinction.  A snapshot at s follows
+    every event at or before s: a tie (probability zero) with a snapshot
+    time applies before it, as one at the cap does.
 
     The default cadence is exp(M*log(lam*M)/16), the persistence scale of
     one clique; it needs lam*M > 1, otherwise pass a cadence explicitly.
@@ -654,11 +652,16 @@ def lit_snapshots(cat: CaterpillarGraph, cfg: ContactConfig, cadence: float | No
         cadence = math.exp(m * math.log(cfg.lam * m) / 16.0)
     if not cadence > 0:
         raise ValueError("cadence must be positive")
-    snapshots: list[tuple[float, frozenset[int]]] = []
-    _replica(cat.graph, cfg, initial, snapshots, cadence)
-    threshold = m / 4.0
-    return [
-        LitSnapshot(t, tuple(len(infected.intersection(block)) >= threshold
-                             for block in cat.cliques))
-        for t, infected in snapshots
-    ]
+    horizon = math.inf if cfg.t_cap is None else cfg.t_cap
+    run = _run(cat.graph, cfg, initial, 0.0)
+    infected, _, _ = next(run)
+    snapshots: list[LitSnapshot] = []
+    while infected:
+        lit = frozenset(infected)
+        snapshots.append(LitSnapshot(len(snapshots) * cadence,
+                                     tuple(len(lit.intersection(block)) >= m / 4.0
+                                           for block in cat.cliques)))
+        if len(snapshots) * cadence > horizon:
+            return snapshots
+        infected, _, _ = run.send(len(snapshots) * cadence)
+    return snapshots

@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, as_int
 from .graphs import Graph
 from .rng import mix64
 
@@ -42,8 +42,7 @@ def log_exact_clique_extinction(m: int, lam: float) -> float:
     h_k = (1 + up_k * h_{k+1}) / k, and the answer is sum_k h_k; both are
     accumulated in log space.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
+    m = as_int(m, "m must be a positive integer", 1)
     _check_lam(lam)
     log_h = -math.log(m)  # h_m = 1/m
     total = log_h
@@ -68,8 +67,7 @@ def clique_extinction_rates(m: int, lam: float) -> np.ndarray:
     so the smallest rate is recovered instead from the exact log-space mean
     through the rate-sum identity sum_i 1/rate_i = E[absorption time].
     """
-    if m < 1:
-        raise ValueError("m must be positive")
+    m = as_int(m, "m must be a positive integer", 1)
     _check_lam(lam)
     k = np.arange(1, m + 1, dtype=float)
     up = lam * k * (m - k)  # up[m-1] = 0
@@ -108,8 +106,7 @@ def sample_clique_extinction_times(m: int, lam: float, count: int, seed: int) ->
     complete graph, drawn as sums of independent exponentials with the
     spectral rates.  Usable in regimes where direct simulation would need
     astronomically many events."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    count = as_int(count, "count must be a non-negative integer")
     _check_lam(lam)
     rates = clique_extinction_rates(m, lam)
     rng = np.random.default_rng(mix64(seed, 0x50485459))
@@ -193,11 +190,11 @@ def exact_expected_extinction_ctmc(g: Graph, lam: float, cap: int = 12) -> float
     refuses every graph.
     """
     _check_lam(lam)
+    limit = min(as_int(cap, "cap must be an integer", -math.inf), _HARD_CAP)
     n = g.vertex_count
     if n == 0:
         return 0.0
     classes = _twin_classes(g.adjacency)
-    limit = min(cap, _HARD_CAP)
     budget = math.comb(limit, limit // 2) if limit >= 0 else 0
     # states per level: the product of the class polynomials 1 + x + ... + x^s,
     # in exact integers.  It dominates (1 + x)^c after c classes, so the widest

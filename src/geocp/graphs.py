@@ -8,14 +8,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import as_int
 from .rng import mix64
-
-
-def _vertex_count(n, least: int, rule: str) -> int:
-    """`n` as an int if it is an integer >= least, bools aside; else ValueError(rule)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
-        raise ValueError(f"{rule}, not {n!r}")
-    return int(n)
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,7 @@ class Graph:
         at about 17 bytes per entry beyond its input: the object array of
         neighbour ids beside the tuples.
         """
-        n = _vertex_count(vertex_count, 0, "vertex_count must be a non-negative integer")
+        n = as_int(vertex_count, "vertex_count must be a non-negative integer")
         arr = edges if isinstance(edges, np.ndarray) else np.array(list(edges))
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)
@@ -99,21 +93,10 @@ class Graph:
         """All edges as (a, b) with a < b, ascending."""
         return [(a, b) for a in range(self.vertex_count) for b in self.adjacency[a] if a < b]
 
-    def validate(self) -> None:
-        """Check symmetry, absence of self-loops and duplicates; raise on failure."""
-        for v, nbrs in enumerate(self.adjacency):
-            if len(set(nbrs)) != len(nbrs):
-                raise ValueError(f"duplicate neighbor at vertex {v}")
-            for w in nbrs:
-                if w == v:
-                    raise ValueError(f"self-loop at vertex {v}")
-                if v not in self.adjacency[w]:
-                    raise ValueError(f"asymmetric edge ({v},{w})")
-
 
 def build_complete(m: int) -> Graph:
     """Complete graph on m >= 1 vertices."""
-    m = _vertex_count(m, 1, "a complete graph needs a positive integer vertex count")
+    m = as_int(m, "a complete graph needs a positive integer vertex count", 1)
     ids = list(range(m))  # one int object per vertex, shared by every tuple
     return Graph(tuple(tuple(w for w in ids if w != v) for v in range(m)))
 
@@ -131,10 +114,10 @@ class CaterpillarSpec:
     clique_size: int
 
     def __post_init__(self):
-        if self.spine_length < 0:
-            raise ValueError("spine_length must be non-negative")
-        if self.clique_size < 1:
-            raise ValueError("clique_size must be positive")
+        object.__setattr__(self, "spine_length",
+                           as_int(self.spine_length, "spine_length must be a non-negative integer"))
+        object.__setattr__(self, "clique_size",
+                           as_int(self.clique_size, "clique_size must be a positive integer", 1))
 
     @property
     def vertex_count(self) -> int:
@@ -224,7 +207,8 @@ def _components(adjacency) -> list[list[int]]:
 
 def random_connected_graph(vertex_count: int, extra_edges: int, seed: int) -> Graph:
     """Random connected graph: uniform labeled tree plus extra random edges."""
-    n = _vertex_count(vertex_count, 1, "vertex_count must be a positive integer")
+    n = as_int(vertex_count, "vertex_count must be a positive integer", 1)
+    extra_edges = as_int(extra_edges, "extra_edges must be a non-negative integer")
     if n == 1:
         return Graph.from_edges(1, [])
     edges: set[tuple[int, int]] = set()

@@ -47,9 +47,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, as_int
 from .graphs import _bfs, _components, _depths
-from .rng import TAG_ARROW, TAG_REPLICA, TAG_SITE, mix64, mix64_array, uniform_from_key
+from .rng import TAG_ARROW, TAG_REPLICA, TAG_SITE, mix64, mix64_array
 
 # ---------------------------------------------------------------------------
 # site grids
@@ -66,19 +66,22 @@ class SiteGrid:
     seed: int | None
 
     def __post_init__(self):
-        if any(d < 1 for d in self.dims):
-            raise ValueError("dims must be positive")
+        object.__setattr__(self, "dims", _grid_dims(self.dims))
         if tuple(self.open.shape) != tuple(self.dims):
             raise ValueError("open field shape does not match dims")
         if self.open.dtype != bool:
             raise ValueError(f"open field must be a bool array, not {self.open.dtype}")
 
 
+def _grid_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    return tuple(as_int(d, "dims must be positive integers", 1) for d in dims)
+
+
 def sample_uniform_field(dims: Sequence[int], seed: int) -> np.ndarray:
     """Uniform marks per site; thresholding at p gives coupled site grids
     that are monotone in p."""
     rng = np.random.default_rng(mix64(seed, TAG_SITE))
-    return rng.random(tuple(dims))
+    return rng.random(_grid_dims(dims))
 
 
 def grid_from_field(field_arr: np.ndarray, p: float, seed: int | None = None) -> SiteGrid:
@@ -315,7 +318,7 @@ def longest_open_path_exact(grid: SiteGrid, budget: int = 36) -> int:
     n = flat_open.size
     if n == 0:
         return 0
-    if n > budget:
+    if n > as_int(budget, "budget must be a non-negative integer"):
         raise BudgetExceededError(f"{n} open sites exceed the exact-path budget of {budget}")
     nbr_mask = [0] * n
     for v in range(n):
@@ -378,13 +381,17 @@ def _route(adj: dict, sources, targets, blocked=()) -> list | None:
 
 def has_crossing(grid: SiteGrid, axis: int = 0) -> bool:
     """True when an open path joins the two opposite faces along `axis`."""
-    if not 0 <= axis < len(grid.dims):
-        raise ValueError(f"axis must lie in 0..{len(grid.dims) - 1}, not {axis}")
+    rule = f"axis must be an integer in 0..{len(grid.dims) - 1}"
+    if as_int(axis, rule) >= len(grid.dims):
+        raise ValueError(f"{rule}, not {axis}")
     _, adj = _open_adjacency(grid.open)
     along = np.argwhere(grid.open)[:, axis]
     sources = np.flatnonzero(along == 0).tolist()
     targets = set(np.flatnonzero(along == grid.dims[axis] - 1).tolist())
     return _bfs(adj, sources, targets=targets)[1] is not None
+
+
+_REPLICAS = "need an integer count of at least one replica"
 
 
 def _binomial_se(freq: float, trials: int) -> float:
@@ -393,15 +400,10 @@ def _binomial_se(freq: float, trials: int) -> float:
     return math.sqrt(max(freq * (1.0 - freq), 1.0 / trials) / trials)
 
 
-def _check_replicas(replicas: int) -> None:
-    if type(replicas) is not int or replicas < 1:
-        raise ValueError(f"need an integer count of at least one replica, not {replicas!r}")
-
-
 def crossing_frequency(dims: Sequence[int], p: float, replicas: int, seed: int,
                        axis: int = 0) -> tuple[float, float]:
     """Monte Carlo crossing probability with its standard error."""
-    _check_replicas(replicas)
+    replicas = as_int(replicas, _REPLICAS, 1)
     hits = 0
     for r in range(replicas):
         grid = sample_site_grid(dims, p, mix64(seed, 0x43524F53, r))
@@ -591,25 +593,7 @@ def full_interval_initial(ell: int) -> frozenset[int]:
     generates exactly the trajectories of the all-ones initial condition
     from step one onward.
     """
-    return frozenset(range(0, ell + 1, 2))
-
-
-def arrow_open(seed: int, i: int, k: int, direction: int, q: float) -> bool:
-    """Arrow from (i, k) to (i - 1, k + 1) for direction 0, or to
-    (i + 1, k + 1) for direction 1.
-
-    The underlying uniform depends only on (seed, i, k, direction), so the
-    same field serves every q.
-    """
-    return uniform_from_key(seed, TAG_ARROW, i, k, direction) < q
-
-
-@dataclass(frozen=True)
-class EdgeTrack:
-    """Leftmost/rightmost occupied positions per step; None once extinct."""
-
-    left: tuple
-    right: tuple
+    return frozenset(range(0, as_int(ell, "ell must be a non-negative integer") + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -621,21 +605,23 @@ class OrientedRun:
     occupancy: tuple[frozenset, ...]
     arrows: dict
     extinction_step: int | None
-    track: EdgeTrack
 
 
-def _check_op(ell: int, q: float, steps: int, initial: Iterable[int] = ()) -> frozenset[int]:
+def _check_op(ell: int, q: float, steps: int, initial: Iterable[int] = ()
+              ) -> tuple[int, int, frozenset[int]]:
     """The input check shared by every oriented-percolation entry point;
-    returns the initial set."""
-    if type(ell) is not int or type(steps) is not int or ell < 0 or steps < 0 or not 0.0 <= q <= 1.0:
-        raise ValueError("need integers ell >= 0 and steps >= 0, and 0 <= q <= 1")
+    returns ell, steps and the initial set."""
+    rule = "need integers ell >= 0 and steps >= 0, and 0 <= q <= 1"
+    ell, steps = as_int(ell, rule), as_int(steps, rule)
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(rule)
     init = frozenset(int(i) for i in initial)
     if any(i < 0 or i > ell for i in init):
         raise ValueError("initial sites must lie in [0, ell]")
     odd = [i for i in init if i % 2 == 1]
     if odd:
         raise ValueError(f"initial sites {sorted(odd)} violate parity at time 0")
-    return init
+    return ell, steps, init
 
 
 _DIRECTIONS = np.arange(2, dtype=np.uint64)
@@ -656,8 +642,9 @@ def _op_step(keys: np.ndarray, t: int, occ: np.ndarray, q: float):
     """The oriented-percolation stepper: from the occupancy `occ` at step t,
     returns the flags of the arrows out of step t and the occupancy at step
     t + 1.  Only the sites i with i + t even can be occupied, so only they
-    are hashed: flags[r, i // 2, d] is arrow_open(seed_r, i, t, d, q), bit
-    for bit, for direction d = 0 (to i - 1) and d = 1 (to i + 1)."""
+    are hashed: flags[r, i // 2, d] is uniform_from_key(seed_r, TAG_ARROW,
+    i, t, d) < q, bit for bit, for the arrow of direction d = 0 to (i - 1,
+    t + 1) and d = 1 to (i + 1, t + 1)."""
     p = t % 2
     h = mix64_array(t, state=keys[:, p::2])
     # u < q exactly when (hash >> 11) < q * 2^53
@@ -675,9 +662,10 @@ def op_run(ell: int, q: float, initial: Iterable[int], horizon: int, seed: int) 
     Recording stops at the extinction step (the empty set is absorbing, so
     every later state is empty); `extinction_step` carries the step index.
     """
-    occupancy = [_check_op(ell, q, horizon, initial)]
+    ell, horizon, init = _check_op(ell, q, horizon, initial)
+    occupancy = [init]
     arrows: dict = {}
-    keys, occ = _op_start(ell, occupancy[0], seed)
+    keys, occ = _op_start(ell, init, seed)
     while len(occupancy) <= horizon and occupancy[-1]:
         t = len(occupancy) - 1
         flags, occ = _op_step(keys, t, occ, q)
@@ -688,10 +676,7 @@ def op_run(ell: int, q: float, initial: Iterable[int], horizon: int, seed: int) 
                 arrows[(i, t, 1)] = bool(flags[0, i // 2, 1])
         occupancy.append(frozenset(occ[0].nonzero()[0].tolist()))
     extinction = None if occupancy[-1] else len(occupancy) - 1
-    left = tuple(min(s) if s else None for s in occupancy)
-    right = tuple(max(s) if s else None for s in occupancy)
-    return OrientedRun(ell, q, horizon, seed, tuple(occupancy), arrows, extinction,
-                       EdgeTrack(left, right))
+    return OrientedRun(ell, q, horizon, seed, tuple(occupancy), arrows, extinction)
 
 
 @dataclass(frozen=True)
@@ -703,7 +688,7 @@ class FirstPassage:
 def op_first_passage(ell: int, q: float, seed: int) -> FirstPassage:
     """First step at which site ell is occupied starting from {0}, censored
     at horizon 2*ell."""
-    _check_op(ell, q, 0)
+    ell = _check_op(ell, q, 0)[0]
     keys, occ = _op_start(ell, frozenset({0}), seed)
     t = 0
     while not occ[0, ell]:
@@ -756,7 +741,7 @@ def op_exact_survival(ell: int, q: float, t: int, initial: Iterable[int]) -> flo
     Budget: at most _EXACT_EVEN_SITES = 10 even sites (ell <= 19), and
     any t.
     """
-    init = _check_op(ell, q, t, initial)
+    ell, t, init = _check_op(ell, q, t, initial)
     steps = _transfer_matrices(ell, q)
     dist = np.zeros(len(steps[0]))
     dist[sum(1 << (i // 2) for i in init)] = 1.0
@@ -770,7 +755,7 @@ def _simulate_batch(ell: int, q: float, steps: int, replicas: int, seed: int,
     """Replica r is op_run(ell, q, initial, steps, derive_seed(seed, r)),
     run in lockstep; returns the (replicas, ell+1) occupancy after `steps`
     steps and each replica's extinction step (steps + 1 if alive)."""
-    init = _check_op(ell, q, steps, initial)
+    ell, steps, init = _check_op(ell, q, steps, initial)
     # derive_seed(seed, r) for every r
     keys, occ = _op_start(ell, init, mix64_array(seed, TAG_REPLICA, np.arange(replicas)))
     extinct_at = np.full(replicas, steps + 1)
@@ -791,8 +776,8 @@ def _simulate_batch(ell: int, q: float, steps: int, replicas: int, seed: int,
 def op_survival_frequency(ell: int, q: float, t: int, replicas: int, seed: int,
                           initial: Iterable[int] | None = None) -> tuple[float, float]:
     """Simulated P(eta_t != empty) with standard error."""
-    _check_replicas(replicas)
-    _check_op(ell, q, t)  # before full_interval_initial reads ell
+    replicas = as_int(replicas, _REPLICAS, 1)
+    ell, t, _ = _check_op(ell, q, t)  # before full_interval_initial reads ell
     init = full_interval_initial(ell) if initial is None else initial
     _, extinct_at = _simulate_batch(ell, q, t, replicas, seed, init)
     freq = float((extinct_at > t).mean())
@@ -870,7 +855,7 @@ def op_extinction_profile_exact(ell: int, q: float) -> OPExtinctionProfile:
     Budget: at most _EXACT_EVEN_SITES = 10 even sites (ell <= 19; the
     matrix side is 2^sites).
     """
-    _check_op(ell, q, 0)
+    ell = _check_op(ell, q, 0)[0]
     if q == 1.0:
         return OPExtinctionProfile(math.inf, math.inf)
     A, B = _transfer_matrices(ell, q)

@@ -10,6 +10,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import as_int
 from .graphs import Graph
 from .percolation import SiteGrid, find_long_open_path
 from .rng import TAG_POINTS, mix64
@@ -32,10 +33,9 @@ class GeometryConfig:
     upper: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
-            raise ValueError(f"dim must be an integer, not {self.dim!r}")
-        if not (0 < self.n < math.inf and self.radius > 0 and self.dim >= 1):
-            raise ValueError("need finite n > 0, radius > 0, dim >= 1")
+        object.__setattr__(self, "dim", as_int(self.dim, "dim must be a positive integer", 1))
+        if not (0 < self.n < math.inf and self.radius > 0):
+            raise ValueError("need finite n > 0 and radius > 0")
         if not (0.0 < self.lower <= self.upper < math.inf):
             raise ValueError("intensity bounds need finite 0 < lower <= upper")
 

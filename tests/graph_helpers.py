@@ -34,6 +34,18 @@ def build_rgg_bruteforce(cloud: PointCloud, radius: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def validate(g: Graph) -> None:
+    """Check symmetry, absence of self-loops and duplicates; raise on failure."""
+    for v, nbrs in enumerate(g.adjacency):
+        if len(set(nbrs)) != len(nbrs):
+            raise ValueError(f"duplicate neighbor at vertex {v}")
+        for w in nbrs:
+            if w == v:
+                raise ValueError(f"self-loop at vertex {v}")
+            if v not in g.adjacency[w]:
+                raise ValueError(f"asymmetric edge ({v},{w})")
+
+
 def early_extinction_floor(v: int, e: int, lam: float) -> float:
     """Lower bound (2 + 4*lam*e/v)^(-v) on the probability that the process
     started anywhere dies within one time unit."""

@@ -2,7 +2,8 @@
 tests compare the package against: the long-path search with a dict of
 neighbour iterators, a `_greedy_extend` call and a `mix64` hash on every
 polish step and no early stop, and the GTH mean with one outer product per
-censored state.  Also the machine check of a site path."""
+censored state.  Also the machine check of a site path, and the scalar
+arrow flag that the oriented-percolation stepper is checked against."""
 
 from typing import Sequence
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from geocp.percolation import SiteGrid, _bfs_far, _greedy_extend, _open_adjacency
 from geocp.graphs import _components
-from geocp.rng import mix64
+from geocp.rng import TAG_ARROW, mix64, uniform_from_key
 
 _NEAR_HEAD = 256
 
@@ -149,3 +150,14 @@ def path_is_valid(grid: SiteGrid, path: Sequence[tuple[int, ...]]) -> bool:
         if sum(diff) != 1 or max(diff) != 1:
             return False
     return True
+
+
+def arrow_open(seed: int, i: int, k: int, direction: int, q: float) -> bool:
+    """Arrow from (i, k) to (i - 1, k + 1) for direction 0, or to
+    (i + 1, k + 1) for direction 1: open when
+    uniform_from_key(seed, TAG_ARROW, i, k, direction) < q.
+
+    The underlying uniform depends only on (seed, i, k, direction), so the
+    same field serves every q.
+    """
+    return uniform_from_key(seed, TAG_ARROW, i, k, direction) < q

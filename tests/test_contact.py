@@ -3,6 +3,7 @@ import hashlib
 import heapq
 import math
 import weakref
+from itertools import count
 from unittest.mock import patch
 
 import numpy as np
@@ -411,12 +412,12 @@ def test_kernel_snapshots_draw_nothing():
     mt = _legacy_mt()
     for g, lam in cells:
         start = _start_state(g.adjacency, _healthy_flags(g.vertex_count, None))
-        for cap in (-1.0, 4.0):
+        for cap in (math.inf, 4.0):
             for seed in range(5):
-                plain = _extinction_kernel(g.adjacency, start, lam, cap, mt, seed)
+                plain = _drive(g.adjacency, start, lam, cap, mt, seed)
                 snapshots = []
-                recorded = _extinction_kernel(g.adjacency, start, lam, cap, mt, seed,
-                                              snapshots=snapshots, cadence=0.7)
+                recorded = _drive(g.adjacency, start, lam, cap, mt, seed,
+                                  snapshots=snapshots, cadence=0.7)
                 assert recorded == plain
                 tau = plain[0]
                 assert len(snapshots) == math.floor(tau / 0.7) + 1
@@ -494,7 +495,7 @@ def test_audit_every_event_changes_nothing():
     on a dense RGG too, started full and from one vertex."""
     dense = rgg.build_rgg(rgg.sample_poisson_points(rgg.GeometryConfig(400.0, 4.0, 2), 3), 4.0)
     assert dense.edge_count > 20 * dense.vertex_count and dense.adjacency[0]
-    cells = [(build_complete(5), None, 1.0, -1.0),
+    cells = [(build_complete(5), None, 1.0, math.inf),
              (build_caterpillar(CaterpillarSpec(1, 4)).graph, None, 1.0, 20.0),
              (_small_rgg(), None, 0.3, 10.0),
              (dense, None, 0.1, 4.0),
@@ -504,8 +505,8 @@ def test_audit_every_event_changes_nothing():
         start = _start_state(g.adjacency, _healthy_flags(g.vertex_count, initial))
         events = []
         for seed in range(5):
-            plain = _extinction_kernel(g.adjacency, start, lam, cap, mt, seed)
-            audited = _extinction_kernel(g.adjacency, start, lam, cap, mt, seed, audit_every=1)
+            plain = _drive(g.adjacency, start, lam, cap, mt, seed)
+            audited = _drive(g.adjacency, start, lam, cap, mt, seed, audit_every=1)
             assert audited == plain
             assert _reference_kernel(g, initial, lam, cap, seed, 1.0)[0] == plain
             events.append(plain[2])
@@ -543,7 +544,7 @@ def test_audit_catches_inconsistent_bookkeeping():
     for g, bad in broken:
         for seed in range(3):
             with pytest.raises(RuntimeError, match="bookkeeping diverged"):
-                _extinction_kernel(g.adjacency, bad, 1.0, -1.0, mt, seed, audit_every=1)
+                _drive(g.adjacency, bad, 1.0, math.inf, mt, seed, audit_every=1)
 
 
 def _reference_kernel(g, initial, lam, t_cap, seed, cadence):
@@ -589,11 +590,30 @@ def _reference_kernel(g, initial, lam, t_cap, seed, cadence):
     return (t, False, events), snapshots
 
 
+def _drive(adjacency, start, lam, t_cap, mt, seed, audit_every=1_000_000, snapshots=None,
+           cadence=0.0):
+    """The kernel's (tau, censored, events) under a cap of `t_cap` (math.inf
+    for none), tau being t_cap when censored.  With a `snapshots` list the
+    run first stops at each j * cadence <= t_cap and appends
+    (j * cadence, frozenset(infected)) there while any vertex is infected."""
+    run = _extinction_kernel(adjacency, start, lam, mt, seed, 0.0, audit_every)
+    infected, events, t = next(run)
+    for j in (count() if snapshots is not None else ()):
+        if not infected or j * cadence > t_cap:
+            break
+        infected, events, t = run.send(j * cadence)
+        if infected:
+            snapshots.append((j * cadence, frozenset(infected)))
+    if infected:
+        infected, events, t = run.send(t_cap)
+    return (t_cap, True, events) if infected else (t, False, events)
+
+
 def _kernel_run(g, initial, lam, t_cap, seed, cadence):
     start = _start_state(g.adjacency, _healthy_flags(g.vertex_count, initial))
     snapshots = []
-    out = _extinction_kernel(g.adjacency, start, lam, t_cap, _legacy_mt(), seed,
-                             snapshots=snapshots, cadence=cadence)
+    out = _drive(g.adjacency, start, lam, t_cap, _legacy_mt(), seed, snapshots=snapshots,
+                 cadence=cadence)
     return out, snapshots
 
 
@@ -608,7 +628,7 @@ def _kernel_cells(draw):
     g = Graph.from_edges(n, [tuple(pair) for pair in pairs.tolist()])
     initial = draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     lam = draw(st.floats(0.01, 3.0)) / max(1, max(len(a) for a in g.adjacency))
-    caps = [-1.0, 0.0, 0.5, 4.0] if p < 0.3 else [0.0, 0.5, 4.0]  # uncapped only when sparse
+    caps = [math.inf, 0.0, 0.5, 4.0] if p < 0.3 else [0.0, 0.5, 4.0]  # uncapped only when sparse
     t_cap = draw(st.sampled_from(caps))
     return g, initial, lam, t_cap
 
@@ -631,7 +651,7 @@ def test_kernel_stream_across_many_refills():
     # 2486 events on K12: tens of refills at the default fetch of 256 words
     # and over a thousand at a fetch of seven
     cells = [(build_complete(12), None, 0.25, 500.0, 3),
-             (Graph.from_edges(65, []), None, 1.0, -1.0, 2**31 - 1),
+             (Graph.from_edges(65, []), None, 1.0, math.inf, 2**31 - 1),
              (build_caterpillar(CaterpillarSpec(10, 20)).graph, range(0, 231, 6), 0.03, 5.0, 11)]
     for g, initial, lam, t_cap, seed in cells:
         expected = _reference_kernel(g, initial, lam, t_cap, seed, 0.5)
@@ -639,6 +659,33 @@ def test_kernel_stream_across_many_refills():
         with patch.object(contact, "_WORDS_PER_FETCH", 7):
             assert _kernel_run(g, initial, lam, t_cap, seed, 0.5) == expected
     assert expected[0][2] > 100
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kernel_cells(), st.integers(0, 2**31 - 1), st.sampled_from([7, 256]),
+       st.lists(st.one_of(st.just(0.0), st.floats(0.0, 6.0)), min_size=1, max_size=8))
+def test_kernel_resumes_where_it_stopped(cell, seed, fetch, stops):
+    """A run stopped at sorted times and resumed at each is, at every stop,
+    the straight run to that stop: the same infected list, event count and
+    last event time.  Fetches of seven words put refills, rejected slot
+    draws included, between a stop and the pending event."""
+    g, initial, lam, _ = cell
+    start = _start_state(g.adjacency, _healthy_flags(g.vertex_count, initial))
+    mt = _legacy_mt()
+    stops.sort()
+    with patch.object(contact, "_WORDS_PER_FETCH", fetch):
+        run = _extinction_kernel(g.adjacency, start, lam, mt, seed, stops[0])
+        infected, events, t = next(run)
+        resumed = [(list(infected), events, t)]
+        for stop in stops[1:]:
+            if infected:
+                infected, events, t = run.send(stop)
+            resumed.append((list(infected), events, t))  # extinct: the same at every later stop
+        straight = []
+        for stop in stops:
+            infected, events, t = next(_extinction_kernel(g.adjacency, start, lam, mt, seed, stop))
+            straight.append((list(infected), events, t))
+    assert resumed == straight
 
 
 def test_golden_extinction_times():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from geocp.graphs import (CaterpillarSpec, Graph, _components, build_caterpillar,
                           build_complete, from_edge_list_text, random_connected_graph,
                           to_edge_list_text)
-from graph_helpers import diameter
+from graph_helpers import diameter, validate
 
 
 def test_complete_counts():
@@ -26,7 +26,7 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 5)])
     g = Graph.from_edges(3, [(0, 1), (1, 0)])  # duplicates collapse
     assert g.edge_count == 1
-    g.validate()
+    validate(g)
 
 
 def test_caterpillar_example_counts():
@@ -44,7 +44,7 @@ def test_caterpillar_closed_forms_and_connectivity():
         for m in range(1, 11):
             spec = CaterpillarSpec(ell, m)
             cat = build_caterpillar(spec)
-            cat.graph.validate()
+            validate(cat.graph)
             assert cat.graph.vertex_count == (ell + 1) * (m + 1)
             assert cat.graph.edge_count == ell + (ell + 1) * (m + m * (m - 1) // 2)
             assert len(_components(cat.graph.adjacency)) == 1
@@ -100,7 +100,7 @@ def test_random_connected_graph_properties():
     for seed in range(30):
         n = 3 + seed % 5
         g = random_connected_graph(n, seed % 3, seed)
-        g.validate()
+        validate(g)
         assert len(_components(g.adjacency)) == 1
         assert g.edge_count >= n - 1
 

@@ -12,11 +12,11 @@ import pytest
 
 from geocp.errors import BudgetExceededError
 from geocp.percolation import (FirstPassage, _class_transition, _gth_last_mean, _simulate_batch,
-                               _transfer_matrices, arrow_open,
+                               _transfer_matrices,
                                full_interval_initial, op_exact_survival, op_extinction_profile_exact,
                                op_first_passage, op_run, op_survival_frequency)
 from geocp.rng import derive_seed
-from percolation_reference import gth_last_mean as unblocked_gth_mean
+from percolation_reference import arrow_open, gth_last_mean as unblocked_gth_mean
 
 
 def test_parity_rejection():
@@ -173,9 +173,15 @@ def test_exact_survival_matches_enumeration():
                         _survival_enumeration(ell, q, t, init), abs=1e-12), (ell, q, t, init)
 
 
+def _edges(run):
+    """The leftmost and rightmost occupied sites of each step, None once extinct."""
+    return (tuple(min(s) if s else None for s in run.occupancy),
+            tuple(max(s) if s else None for s in run.occupancy))
+
+
 def _canon(run):
     return (tuple(tuple(sorted(s)) for s in run.occupancy), tuple(sorted(run.arrows.items())),
-            run.extinction_step, run.track.left, run.track.right)
+            run.extinction_step, *_edges(run))
 
 
 def test_op_run_and_first_passage_golden():
@@ -188,7 +194,7 @@ def test_op_run_and_first_passage_golden():
         (1, 3, 0): True, (1, 3, 1): True, (2, 0, 0): True, (2, 0, 1): False, (2, 2, 0): True,
         (2, 2, 1): True, (2, 4, 0): True, (2, 4, 1): True, (3, 3, 0): True}
     assert run.extinction_step is None
-    assert (run.track.left, run.track.right) == ((0, 1, 0, 1, 0, 1), (2, 1, 2, 3, 2, 3))
+    assert _edges(run) == ((0, 1, 0, 1, 0, 1), (2, 1, 2, 3, 2, 3))
     run = op_run(6, 0.7, full_interval_initial(6), 10, -1)
     assert run.extinction_step == 7
     assert run.occupancy[-3:] == (frozenset({1, 3}), frozenset({2, 4}), frozenset())
@@ -263,6 +269,14 @@ def test_arrow_field_is_shared_across_q():
         assert opened == sorted(opened)
 
 
+def test_op_run_arrows_match_the_scalar_flag():
+    # every arrow the stepper evaluated is the scalar reference's flag
+    for seed, q in ((3, 0.5), (2**64 - 1, 0.8), (-5, 0.65)):
+        run = op_run(9, q, full_interval_initial(9), 14, seed)
+        assert len(run.arrows) > 20
+        assert all(v == arrow_open(seed, *key, q) for key, v in run.arrows.items())
+
+
 def test_monotone_in_q_and_initial_coupled():
     seed = 21
     full = full_interval_initial(6)
@@ -280,15 +294,8 @@ def test_edge_track_consistency():
     seed = 4
     full = full_interval_initial(8)
     run_full = op_run(8, 0.7, full, 12, seed)
-    for occ, lo, hi in zip(run_full.occupancy, run_full.track.left, run_full.track.right):
-        if occ:
-            assert lo == min(occ) and hi == max(occ)
-            assert all(lo <= i <= hi for i in occ)
-        else:
-            assert lo is None and hi is None
     run_x = op_run(8, 0.7, {4}, 12, seed)
-    for (l_f, r_f), (l_x, r_x) in zip(zip(run_full.track.left, run_full.track.right),
-                                      zip(run_x.track.left, run_x.track.right)):
+    for (l_f, r_f), (l_x, r_x) in zip(zip(*_edges(run_full)), zip(*_edges(run_x))):
         if l_x is not None:
             assert l_f <= l_x and r_f >= r_x
 
