@@ -237,11 +237,12 @@ for path in sorted(Path(sys.argv[1]).glob("*.cfg")):
 """
 
 
-def test_suite_independent_of_hash_seed(tmp_path):
-    """Replica seeds and graphs must not depend on Python's per-process
-    string hashing: every configs/suite/*.cfg, run in one process under
-    PYTHONHASHSEED 1 and in one under 2, writes the same 14 files."""
+@pytest.fixture(scope="module")
+def suite_under_hash_seeds(tmp_path_factory):
+    """Output files of every configs/suite/*.cfg, run in one process under
+    PYTHONHASHSEED 1 and in one under 2."""
     root = Path(__file__).resolve().parents[1]
+    tmp_path = tmp_path_factory.mktemp("hash_seeds")
     outputs = []
     for hash_seed in ("1", "2"):
         out_dir = tmp_path / f"hash{hash_seed}"
@@ -251,7 +252,32 @@ def test_suite_independent_of_hash_seed(tmp_path):
         subprocess.run([sys.executable, "-c", _SUITE_SCRIPT, str(root / "configs/suite"),
                         str(out_dir)], env=env, check=True, capture_output=True, timeout=600)
         outputs.append({f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
-    assert len(outputs[0]) == 14
+    return outputs
+
+
+def _config_outputs(outputs, name):
+    """The two files configs/suite/<name>.cfg writes, under each hash seed."""
+    files = [f"{name}.csv", f"{name}_summary.json"]
+    assert all(set(files) <= set(out) for out in outputs)
+    return [{f: out[f] for f in files} for out in outputs]
+
+
+def test_suite_independent_of_hash_seed(suite_under_hash_seeds):
+    """Replica seeds and graphs must not depend on Python's per-process
+    string hashing: the whole suite writes the same 14 files under both."""
+    assert len(suite_under_hash_seeds[0]) == 14
+    assert suite_under_hash_seeds[0] == suite_under_hash_seeds[1]
+
+
+def test_d1_regimes_independent_of_hash_seed(suite_under_hash_seeds):
+    """d1-regimes salts replica seeds by regime name."""
+    outputs = _config_outputs(suite_under_hash_seeds, "d1-regimes")
+    assert outputs[0] == outputs[1]
+
+
+def test_rgg_tau_independent_of_hash_seed(suite_under_hash_seeds):
+    """Nor may rgg-tau's outputs, whose graphs come from build_rgg."""
+    outputs = _config_outputs(suite_under_hash_seeds, "rgg-tau")
     assert outputs[0] == outputs[1]
 
 
