@@ -8,15 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import as_int
-
-
-def _check_graph(v: int, e: int, lam: float) -> None:
-    """Written so that NaN fails every check."""
-    as_int(v, "the vertex count must be a positive integer", 1)
-    as_int(e, "the edge count must be a non-negative integer")
-    if not 0.0 <= lam < math.inf:
-        raise ValueError("lam must be finite and non-negative")
+from .errors import ABOVE_ZERO, BELOW_INF, as_int, as_real
 
 
 def log_extinction_time_bound(v: int, e: int, lam: float) -> float:
@@ -24,7 +16,9 @@ def log_extinction_time_bound(v: int, e: int, lam: float) -> float:
     scale: extinction beats F with probability >= 1 - exp(-v) and the mean
     extinction time is at most 2F.
     """
-    _check_graph(v, e, lam)
+    v = as_int(v, "the vertex count must be a positive integer", 1)
+    e = as_int(e, "the edge count must be a non-negative integer")
+    lam = as_real(lam, "lam must be finite and non-negative", 0.0, BELOW_INF)
     return math.log(v) + v * math.log(2.0 + 4.0 * lam * e / v)
 
 
@@ -34,15 +28,14 @@ def rgg_log_tau_scale(n: float, lam: float, radius: float, dim: int) -> float:
 
     Only defined in the regime 1 < lam*R^d < inf; outside it the scale
     would be non-positive (or not a number) and the prediction does not
-    apply.  The checks are written so that NaN fails them.
+    apply.  n must be finite.
     """
     dim = as_int(dim, "dim must be a positive integer", 1)
-    if not (n > 0 and radius > 0):
-        raise ValueError("need n > 0 and radius > 0")
-    lrd = lam * radius**dim
+    rule = "need n > 0 and radius > 0, n finite"
+    n = as_real(n, rule, ABOVE_ZERO, BELOW_INF)
+    radius = as_real(radius, rule, ABOVE_ZERO, math.inf)
+    regime = "outside the large-radius regime 1 < lam*R^d < inf, no positive scale"
+    lrd = as_real(lam, f"lam: {regime}", 0.0, math.inf) * radius**dim
     if not 1.0 < lrd < math.inf:
-        raise ValueError(
-            f"lam*R^d = {lrd:g}: outside the large-radius regime 1 < lam*R^d < inf, "
-            "no positive scale"
-        )
+        raise ValueError(f"lam*R^d = {lrd:g}: {regime}")
     return n * math.log(lrd)

@@ -51,10 +51,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import as_int
+from .errors import ABOVE_ZERO, BELOW_INF, as_int, as_real, as_vertex_set
 from .graphs import CaterpillarGraph, Graph
-from .rng import TAG_CLOCK, TAG_CONTACT, TAG_MARK, mix64, mix64_array
+from .rng import TAG_BIRTH_DEATH, TAG_CLOCK, TAG_CONTACT, TAG_MARK, mix64, mix64_array
 
+_LAM = "infection rate must be positive and finite"
+_T_CAP = "t_cap must be non-negative"
+_T_END = "t_end must lie in the recorded window [0, horizon]"
 
 @dataclass(frozen=True)
 class ContactConfig:
@@ -65,15 +68,9 @@ class ContactConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_rates(self.lam, self.t_cap)
-
-
-def _check_rates(lam: float, t_cap: float | None) -> None:
-    """Written so that NaN fails both checks."""
-    if not 0 < lam < math.inf:
-        raise ValueError("infection rate must be positive and finite")
-    if t_cap is not None and not t_cap >= 0:
-        raise ValueError("t_cap must be non-negative")
+        as_real(self.lam, _LAM, ABOVE_ZERO, BELOW_INF)
+        if self.t_cap is not None:
+            as_real(self.t_cap, _T_CAP, 0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,8 @@ class TauSample:
     seed: int
 
     def __post_init__(self):
-        if self.censored and not math.isfinite(self.tau):
-            raise ValueError("censored observations must carry the cap value")
+        if self.censored:
+            as_real(self.tau, "censored observations must carry the cap value", -BELOW_INF, BELOW_INF)
 
 
 @dataclass(frozen=True)
@@ -122,12 +119,8 @@ def _healthy_flags(n: int, initial: Iterable[int] | None) -> list[int]:
     """Validate an initial infected set; 1 marks the vertices left healthy."""
     if initial is None:
         return [0] * n
-    healthy = [1] * n
-    for v in initial:
-        if not (0 <= v < n):
-            raise ValueError(f"initial vertex {v} out of range")
-        healthy[v] = 0
-    return healthy
+    infected = as_vertex_set(initial, n, f"initial vertex out of range: need integers in [0, {n})")
+    return [int(v not in infected) for v in range(n)]
 
 
 def _block_sums(healthy: list[int], nb: list[int]) -> list[int]:
@@ -329,15 +322,14 @@ def sample_extinction_times(g: Graph, lam: float, t_cap: float | None, master_se
     supercritical run may not finish in any practical time (K30 at
     lam = 0.2 has E[tau] ~ 3.4e11): size it first with
     `exact.log_exact_clique_extinction` or the exact CTMC."""
-    _check_rates(lam, t_cap)
+    lam = as_real(lam, _LAM, ABOVE_ZERO, BELOW_INF)
+    cap = math.inf if t_cap is None else as_real(t_cap, _T_CAP, 0.0, math.inf)
     replicas = as_int(replicas, "replicas must be a non-negative integer")
     healthy = _healthy_flags(g.vertex_count, initial)
     if replicas == 0:
         return np.empty(0), np.empty(0, dtype=bool)
     start = _start_state(g.adjacency, healthy)
     mt = _legacy_mt()
-    lam = float(lam)
-    cap = math.inf if t_cap is None else float(t_cap)
     taus, censored = [], []
     for i in range(replicas):
         run = _extinction_kernel(g.adjacency, start, lam, mt, replica_seed(master_seed, i), cap)
@@ -423,9 +415,8 @@ def record_event_window(g: Graph, lam: float, seed: int, horizon: float) -> Even
     (seed, TAG_MARK, s, c).  Every ring is hashed in bulk, and the events
     come sorted by (time, stream id, counter).
     """
-    _check_rates(lam, None)
-    if horizon < 0 or not math.isfinite(horizon):
-        raise ValueError("graphical windows need a finite non-negative horizon")
+    lam = as_real(lam, _LAM, ABOVE_ZERO, BELOW_INF)
+    horizon = as_real(horizon, "graphical windows need a finite non-negative horizon", 0.0, BELOW_INF)
     n = g.vertex_count
     src = np.repeat(np.arange(n), [len(nbrs) for nbrs in g.adjacency])
     dst = np.fromiter((w for nbrs in g.adjacency for w in nbrs), np.int64, len(src))
@@ -446,12 +437,7 @@ def record_event_window(g: Graph, lam: float, seed: int, horizon: float) -> Even
 
 
 def _mask_of(vertices: Iterable[int], n: int) -> int:
-    mask = 0
-    for v in vertices:
-        if not (0 <= v < n):
-            raise ValueError(f"vertex {v} out of range")
-        mask |= 1 << v
-    return mask
+    return sum(1 << v for v in as_vertex_set(vertices, n, f"vertex out of range: need integers in [0, {n})"))
 
 
 def _set_of(mask: int) -> frozenset[int]:
@@ -514,12 +500,6 @@ def _sweep(record: EventRecord, masks: Sequence[int], accept: Sequence[float], t
     return [state >> i * n & full for i in range(k)], taus, events
 
 
-def _check_window(record: EventRecord, t_end: float) -> None:
-    """Written so that NaN fails."""
-    if not 0 <= t_end <= record.horizon:
-        raise ValueError("t_end must lie in the recorded window [0, horizon]")
-
-
 def forward_from_record(record: EventRecord, initial: Iterable[int], t_end: float,
                         lam_eff: float | None = None) -> frozenset[int]:
     """State at time t_end of the process driven by the recorded clocks.
@@ -527,10 +507,10 @@ def forward_from_record(record: EventRecord, initial: Iterable[int], t_end: floa
     With lam_eff set (0 < lam_eff <= record.lam), infection events are thinned
     by their marks, realizing the lower-rate process on the same clocks.
     """
-    _check_window(record, t_end)
-    if lam_eff is not None and not 0 < lam_eff <= record.lam:
-        raise ValueError("thinned rate must be positive and cannot exceed the recorded rate")
-    accept = 1.0 if lam_eff is None else lam_eff / record.lam
+    t_end = as_real(t_end, _T_END, 0.0, record.horizon)
+    accept = 1.0 if lam_eff is None else as_real(
+        lam_eff, "thinned rate must be positive and cannot exceed the recorded rate",
+        ABOVE_ZERO, record.lam) / record.lam
     (final,), _, _ = _sweep(record, [_mask_of(initial, record.graph.vertex_count)], [accept], t_end)
     return _set_of(final)
 
@@ -541,7 +521,7 @@ def dual_from_record(record: EventRecord, targets: Iterable[int], t_end: float
     vertices whose infection at forward time t_end - s would reach
     `targets` at time t_end.  Runs the recorded events backwards with
     arrows reversed."""
-    _check_window(record, t_end)
+    t_end = as_real(t_end, _T_END, 0.0, record.horizon)
     mask = _mask_of(targets, record.graph.vertex_count)
     traj = [(0.0, _set_of(mask))]
     relevant = [ev for ev in record.events if ev[0] <= t_end]
@@ -590,9 +570,8 @@ def simulate_rate_coupled(g: Graph, lams: Sequence[float], seed: int, horizon: f
     """
     if not lams:
         raise ValueError("need at least one rate")
-    if not all(0 < x < math.inf for x in lams):
-        raise ValueError("infection rates must be positive and finite")
-    rates = sorted(set(float(x) for x in lams))
+    rates = sorted(set(as_real(x, "infection rates must be positive and finite", ABOVE_ZERO, BELOW_INF)
+                       for x in lams))
     lam_max = rates[-1]
     record = record_event_window(g, lam_max, seed, horizon)
     n = g.vertex_count
@@ -610,19 +589,20 @@ def birth_death_clique_simulate(m: int, lam: float, initial_count: int, seed: in
                                 t_cap: float | None = None) -> TauSample:
     """Extinction time on a complete graph simulated through the infected
     count only (exact reduction: all vertices of a clique are exchangeable)."""
-    _check_rates(lam, t_cap)
+    lam = as_real(lam, _LAM, ABOVE_ZERO, BELOW_INF)
+    cap = math.inf if t_cap is None else as_real(t_cap, _T_CAP, 0.0, math.inf)
     m = as_int(m, "the clique size m must be a positive integer", 1)
     k = as_int(initial_count, "initial count must be an integer in [0, m]")
     if k > m:
         raise ValueError(f"initial count must be an integer in [0, m], not {k} > {m}")
-    rng = np.random.default_rng(mix64(seed, TAG_CONTACT, 0x4244))
+    rng = np.random.default_rng(mix64(seed, TAG_CONTACT, TAG_BIRTH_DEATH))
     t = 0.0
     while k > 0:
         up = lam * k * (m - k)
         total = up + k
         dt = rng.exponential(1.0 / total)
-        if t_cap is not None and t + dt > t_cap:
-            return TauSample(t_cap, True, seed)
+        if t + dt > cap:
+            return TauSample(cap, True, seed)
         t += dt
         if rng.random() * total < up:
             k += 1
@@ -650,8 +630,7 @@ def lit_snapshots(cat: CaterpillarGraph, cfg: ContactConfig, cadence: float | No
         if cfg.lam * m <= 1.0:
             raise ValueError("default cadence undefined for lam*M <= 1; pass one")
         cadence = math.exp(m * math.log(cfg.lam * m) / 16.0)
-    if not cadence > 0:
-        raise ValueError("cadence must be positive")
+    cadence = as_real(cadence, "cadence must be positive and finite", ABOVE_ZERO, BELOW_INF)
     horizon = math.inf if cfg.t_cap is None else cfg.t_cap
     run = _run(cat.graph, cfg, initial, 0.0)
     infected, _, _ = next(run)

@@ -22,15 +22,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import BudgetExceededError, as_int
+from .errors import BELOW_INF, BudgetExceededError, as_int, as_real
 from .graphs import Graph
-from .rng import mix64
+from .rng import TAG_SPECTRAL, mix64
 
 
-def _check_lam(lam: float) -> None:
-    """Written so that NaN fails the check."""
-    if not 0.0 <= lam < math.inf:
-        raise ValueError("lam must be finite and non-negative")
+_LAM = "lam must be finite and non-negative"
 
 
 def log_exact_clique_extinction(m: int, lam: float) -> float:
@@ -43,7 +40,7 @@ def log_exact_clique_extinction(m: int, lam: float) -> float:
     accumulated in log space.
     """
     m = as_int(m, "m must be a positive integer", 1)
-    _check_lam(lam)
+    lam = as_real(lam, _LAM, 0.0, BELOW_INF)
     log_h = -math.log(m)  # h_m = 1/m
     total = log_h
     for k in range(m - 1, 0, -1):
@@ -68,7 +65,7 @@ def clique_extinction_rates(m: int, lam: float) -> np.ndarray:
     through the rate-sum identity sum_i 1/rate_i = E[absorption time].
     """
     m = as_int(m, "m must be a positive integer", 1)
-    _check_lam(lam)
+    lam = as_real(lam, _LAM, 0.0, BELOW_INF)
     k = np.arange(1, m + 1, dtype=float)
     up = lam * k * (m - k)  # up[m-1] = 0
     down = k
@@ -107,9 +104,9 @@ def sample_clique_extinction_times(m: int, lam: float, count: int, seed: int) ->
     spectral rates.  Usable in regimes where direct simulation would need
     astronomically many events."""
     count = as_int(count, "count must be a non-negative integer")
-    _check_lam(lam)
+    lam = as_real(lam, _LAM, 0.0, BELOW_INF)
     rates = clique_extinction_rates(m, lam)
-    rng = np.random.default_rng(mix64(seed, 0x50485459))
+    rng = np.random.default_rng(mix64(seed, TAG_SPECTRAL))
     out = np.empty(count)
     rows = max(1, _SAMPLE_BLOCK // m)
     for lo in range(0, count, rows):
@@ -189,7 +186,7 @@ def exact_expected_extinction_ctmc(g: Graph, lam: float, cap: int = 12) -> float
     twin-free graph the budget is exactly |V| <= limit.  A negative limit
     refuses every graph.
     """
-    _check_lam(lam)
+    lam = as_real(lam, _LAM, 0.0, BELOW_INF)
     limit = min(as_int(cap, "cap must be an integer", -math.inf), _HARD_CAP)
     n = g.vertex_count
     if n == 0:

@@ -20,19 +20,9 @@ import numpy as np
 
 from . import bounds, exact, percolation, rgg, stats
 from .contact import sample_extinction_times
-from .graphs import Graph, from_edge_list_text, random_connected_graph, to_edge_list_text
-from .rng import derive_seed, mix64
-
-EXPERIMENT_KINDS = (
-    "rgg-tau",
-    "clique-scaling",
-    "exp1-test",
-    "percolation-sweep",
-    "embedding",
-    "d1-regimes",
-    "oracle-battery",
-)
-
+from .errors import ABOVE_ZERO, BELOW_INF, as_real
+from .graphs import Graph, random_connected_graph
+from .rng import TAG_BATTERY, TAG_D1_CONNECT, TAG_D1_FRAGMENT, TAG_RGG_TAU, derive_seed, mix64
 
 class ConfigError(ValueError):
     pass
@@ -211,8 +201,7 @@ def _parallel(fn, items, workers):
 
 
 def _battery_cell(args):
-    edge_text, lam, replicas, cell_seed = args
-    g = from_edge_list_text(edge_text)
+    g, lam, replicas, cell_seed = args
     exact_mean = exact.exact_expected_extinction_ctmc(g, lam)
     taus, censored = sample_extinction_times(g, lam, None, cell_seed, replicas)
     mean = float(taus.mean())
@@ -227,7 +216,7 @@ def _rgg_tau_replica(args):
     rep_seed = derive_seed(master, idx)
     cloud = rgg.sample_poisson_points(cfg, rep_seed)
     graph = rgg.build_rgg(cloud, cfg.radius)
-    taus, cens = sample_extinction_times(graph, lam, t_cap, mix64(rep_seed, 0x544155), 1)
+    taus, cens = sample_extinction_times(graph, lam, t_cap, mix64(rep_seed, TAG_RGG_TAU), 1)
     return idx, rep_seed, len(cloud), graph.edge_count, float(taus[0]), bool(cens[0])
 
 
@@ -255,7 +244,7 @@ def _embedding_cell(args):
 
 
 # fixed seed salts per d = 1 regime ("CN", "FR"); str hashes vary per process
-_D1_REGIME_TAGS = {"connect": 0x434E, "fragment": 0x4652}
+_D1_REGIME_TAGS = {"connect": TAG_D1_CONNECT, "fragment": TAG_D1_FRAGMENT}
 
 
 def _d1_cell(args):
@@ -318,9 +307,10 @@ def _contact_lam(cfg: ExperimentConfig, default: float) -> float:
     lam = cfg.contact.get("lam")
     if lam is None:
         return default
-    if not 0 < lam < math.inf:
-        raise ConfigError(f"[contact] lam: must be positive and finite, got {lam!r}")
-    return lam
+    try:
+        return as_real(lam, "[contact] lam: must be positive and finite", ABOVE_ZERO, BELOW_INF)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _run_clique_scaling(cfg: ExperimentConfig, workers: int) -> ResultTable:
@@ -348,10 +338,9 @@ def _run_oracle_battery(cfg: ExperimentConfig, workers: int) -> ResultTable:
     graphs = battery_graphs(cfg.seed, n_graphs, max(lams), mean_cap)
     cells = []
     for gi, g in enumerate(graphs):
-        text = to_edge_list_text(g)
         for li, lam in enumerate(lams):
             cell_seed = derive_seed(cfg.seed, mix64(gi, li))
-            cells.append((text, lam, replicas, cell_seed))
+            cells.append((g, lam, replicas, cell_seed))
     results = _parallel(_battery_cell, cells, workers)
     rows = []
     worst = 0.0
@@ -384,7 +373,7 @@ def battery_graphs(seed: int, count: int, lam_max: float, mean_cap: float) -> li
     graphs = []
     salt = 0
     while len(graphs) < count:
-        gseed = mix64(seed, 0x42415454, salt)
+        gseed = mix64(seed, TAG_BATTERY, salt)
         salt += 1
         n = 3 + gseed % 5
         extras = mix64(gseed, 1) % 3
@@ -499,14 +488,15 @@ def _run_rgg_tau(cfg: ExperimentConfig, workers: int) -> ResultTable:
 
 
 _RUNNERS = {
+    "rgg-tau": _run_rgg_tau,
     "clique-scaling": _run_clique_scaling,
-    "oracle-battery": _run_oracle_battery,
     "exp1-test": _run_exp1,
     "percolation-sweep": _run_percolation_sweep,
     "embedding": _run_embedding,
     "d1-regimes": _run_d1,
-    "rgg-tau": _run_rgg_tau,
+    "oracle-battery": _run_oracle_battery,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int | None = None) -> ResultTable:

@@ -9,7 +9,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import as_int
-from .rng import mix64
+from .rng import TAG_EXTRA_EDGE, TAG_PRUFER, mix64
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def random_connected_graph(vertex_count: int, extra_edges: int, seed: int) -> Gr
         edges.add((0, 1))
     else:
         # Pruefer decoding of a uniform random sequence
-        seq = [mix64(seed, 0x5052, i) % n for i in range(n - 2)]
+        seq = [mix64(seed, TAG_PRUFER, i) % n for i in range(n - 2)]
         degree = [1] * n
         for s in seq:
             degree[s] += 1
@@ -236,7 +236,7 @@ def random_connected_graph(vertex_count: int, extra_edges: int, seed: int) -> Gr
     non_edges = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
     k = 0
     while extra_edges > 0 and non_edges:
-        idx = mix64(seed, 0x4558, k) % len(non_edges)
+        idx = mix64(seed, TAG_EXTRA_EDGE, k) % len(non_edges)
         edges.add(non_edges.pop(idx))
         extra_edges -= 1
         k += 1

@@ -47,9 +47,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, as_int
+from .errors import BudgetExceededError, as_int, as_real, as_vertex_set
 from .graphs import _bfs, _components, _depths
-from .rng import TAG_ARROW, TAG_REPLICA, TAG_SITE, mix64, mix64_array
+from .rng import TAG_ARROW, TAG_CROSSING, TAG_REPLICA, TAG_SITE, mix64, mix64_array
 
 # ---------------------------------------------------------------------------
 # site grids
@@ -85,8 +85,7 @@ def sample_uniform_field(dims: Sequence[int], seed: int) -> np.ndarray:
 
 
 def grid_from_field(field_arr: np.ndarray, p: float, seed: int | None = None) -> SiteGrid:
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
+    p = as_real(p, "p must lie in [0, 1]", 0.0, 1.0)
     return SiteGrid(tuple(field_arr.shape), field_arr < p, p, seed)
 
 
@@ -406,7 +405,7 @@ def crossing_frequency(dims: Sequence[int], p: float, replicas: int, seed: int,
     replicas = as_int(replicas, _REPLICAS, 1)
     hits = 0
     for r in range(replicas):
-        grid = sample_site_grid(dims, p, mix64(seed, 0x43524F53, r))
+        grid = sample_site_grid(dims, p, mix64(seed, TAG_CROSSING, r))
         hits += has_crossing(grid, axis)
     f = hits / replicas
     return f, _binomial_se(f, replicas)
@@ -608,20 +607,17 @@ class OrientedRun:
 
 
 def _check_op(ell: int, q: float, steps: int, initial: Iterable[int] = ()
-              ) -> tuple[int, int, frozenset[int]]:
+              ) -> tuple[int, float, int, frozenset[int]]:
     """The input check shared by every oriented-percolation entry point;
-    returns ell, steps and the initial set."""
+    returns ell, q, steps and the initial set."""
     rule = "need integers ell >= 0 and steps >= 0, and 0 <= q <= 1"
     ell, steps = as_int(ell, rule), as_int(steps, rule)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(rule)
-    init = frozenset(int(i) for i in initial)
-    if any(i < 0 or i > ell for i in init):
-        raise ValueError("initial sites must lie in [0, ell]")
+    q = as_real(q, rule, 0.0, 1.0)
+    init = as_vertex_set(initial, ell + 1, f"initial sites must be integers in [0, {ell}]")
     odd = [i for i in init if i % 2 == 1]
     if odd:
         raise ValueError(f"initial sites {sorted(odd)} violate parity at time 0")
-    return ell, steps, init
+    return ell, q, steps, init
 
 
 _DIRECTIONS = np.arange(2, dtype=np.uint64)
@@ -662,7 +658,7 @@ def op_run(ell: int, q: float, initial: Iterable[int], horizon: int, seed: int) 
     Recording stops at the extinction step (the empty set is absorbing, so
     every later state is empty); `extinction_step` carries the step index.
     """
-    ell, horizon, init = _check_op(ell, q, horizon, initial)
+    ell, q, horizon, init = _check_op(ell, q, horizon, initial)
     occupancy = [init]
     arrows: dict = {}
     keys, occ = _op_start(ell, init, seed)
@@ -688,7 +684,7 @@ class FirstPassage:
 def op_first_passage(ell: int, q: float, seed: int) -> FirstPassage:
     """First step at which site ell is occupied starting from {0}, censored
     at horizon 2*ell."""
-    ell = _check_op(ell, q, 0)[0]
+    ell, q, _, _ = _check_op(ell, q, 0)
     keys, occ = _op_start(ell, frozenset({0}), seed)
     t = 0
     while not occ[0, ell]:
@@ -741,7 +737,7 @@ def op_exact_survival(ell: int, q: float, t: int, initial: Iterable[int]) -> flo
     Budget: at most _EXACT_EVEN_SITES = 10 even sites (ell <= 19), and
     any t.
     """
-    ell, t, init = _check_op(ell, q, t, initial)
+    ell, q, t, init = _check_op(ell, q, t, initial)
     steps = _transfer_matrices(ell, q)
     dist = np.zeros(len(steps[0]))
     dist[sum(1 << (i // 2) for i in init)] = 1.0
@@ -755,7 +751,7 @@ def _simulate_batch(ell: int, q: float, steps: int, replicas: int, seed: int,
     """Replica r is op_run(ell, q, initial, steps, derive_seed(seed, r)),
     run in lockstep; returns the (replicas, ell+1) occupancy after `steps`
     steps and each replica's extinction step (steps + 1 if alive)."""
-    ell, steps, init = _check_op(ell, q, steps, initial)
+    ell, q, steps, init = _check_op(ell, q, steps, initial)
     # derive_seed(seed, r) for every r
     keys, occ = _op_start(ell, init, mix64_array(seed, TAG_REPLICA, np.arange(replicas)))
     extinct_at = np.full(replicas, steps + 1)
@@ -777,7 +773,7 @@ def op_survival_frequency(ell: int, q: float, t: int, replicas: int, seed: int,
                           initial: Iterable[int] | None = None) -> tuple[float, float]:
     """Simulated P(eta_t != empty) with standard error."""
     replicas = as_int(replicas, _REPLICAS, 1)
-    ell, t, _ = _check_op(ell, q, t)  # before full_interval_initial reads ell
+    ell, q, t, _ = _check_op(ell, q, t)  # before full_interval_initial reads ell
     init = full_interval_initial(ell) if initial is None else initial
     _, extinct_at = _simulate_batch(ell, q, t, replicas, seed, init)
     freq = float((extinct_at > t).mean())
@@ -855,7 +851,7 @@ def op_extinction_profile_exact(ell: int, q: float) -> OPExtinctionProfile:
     Budget: at most _EXACT_EVEN_SITES = 10 even sites (ell <= 19; the
     matrix side is 2^sites).
     """
-    ell = _check_op(ell, q, 0)[0]
+    ell, q, _, _ = _check_op(ell, q, 0)
     if q == 1.0:
         return OPExtinctionProfile(math.inf, math.inf)
     A, B = _transfer_matrices(ell, q)

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import as_int
+from .errors import ABOVE_ZERO, BELOW_INF, as_int, as_real
 from .graphs import Graph
 from .percolation import SiteGrid, find_long_open_path
 from .rng import TAG_POINTS, mix64
@@ -33,11 +33,13 @@ class GeometryConfig:
     upper: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", as_int(self.dim, "dim must be a positive integer", 1))
-        if not (0 < self.n < math.inf and self.radius > 0):
-            raise ValueError("need finite n > 0 and radius > 0")
-        if not (0.0 < self.lower <= self.upper < math.inf):
-            raise ValueError("intensity bounds need finite 0 < lower <= upper")
+        rule, bounds = "need finite n > 0 and radius > 0", "intensity bounds need finite 0 < lower <= upper"
+        lower = as_real(self.lower, bounds, ABOVE_ZERO, BELOW_INF)
+        for name, value in (("dim", as_int(self.dim, "dim must be a positive integer", 1)),
+                            ("n", as_real(self.n, rule, ABOVE_ZERO, BELOW_INF)),
+                            ("radius", as_real(self.radius, rule, ABOVE_ZERO, math.inf)),
+                            ("lower", lower), ("upper", as_real(self.upper, bounds, lower, BELOW_INF))):
+            object.__setattr__(self, name, value)
 
     @property
     def domain_side(self) -> float:
@@ -52,8 +54,8 @@ class PointCloud:
     box_side: float
 
     def __post_init__(self):
-        if not 0.0 < self.box_side < math.inf:
-            raise ValueError("box_side must be finite and > 0")
+        side = as_real(self.box_side, "box_side must be finite and > 0", ABOVE_ZERO, BELOW_INF)
+        object.__setattr__(self, "box_side", side)
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be a (count, dim) array")
@@ -113,6 +115,7 @@ def _pair_edges(a_pts: np.ndarray, b_pts: np.ndarray, r2: float) -> np.ndarray:
 _KEY_BITS = 62
 # coordinate entries compared per block when occupied cells are paired directly
 _PAIR_BLOCK = 1 << 20
+_RADIUS = "radius must be positive"  # build_rgg's and embedding_is_valid's rule
 
 
 def _cell_keys(pts: np.ndarray, radius: float) -> tuple[np.ndarray, int]:
@@ -209,8 +212,7 @@ def build_rgg(cloud: PointCloud, radius: float) -> Graph:
     d = 2); a batch's scratch, three floats per pair, stays below that.
     The cloud's points are never written.
     """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    radius = as_real(radius, _RADIUS, ABOVE_ZERO, math.inf)
     n = len(cloud)
     if n == 0:
         return Graph.from_edges(0, [])
@@ -258,9 +260,10 @@ class BoxLattice:
 
 def discretize_boxes(cloud: PointCloud, side: float, open_threshold: float) -> BoxLattice:
     """Box of each point, with `members` keyed by box coordinate tuples in
-    order of the boxes' first points, each listing its points ascending."""
-    if not 0 < side < math.inf:  # written so that NaN fails
-        raise ValueError("box side must be positive and finite")
+    order of the boxes' first points, each listing its points ascending;
+    `open_threshold` is any real number but NaN."""
+    side = as_real(side, "box side must be positive and finite", ABOVE_ZERO, BELOW_INF)
+    open_threshold = as_real(open_threshold, "open_threshold must be a real number", -math.inf, math.inf)
     d = cloud.dim
     per_axis = max(1, math.ceil(cloud.box_side / side - 1e-12))
     dims = (per_axis,) * d
@@ -338,6 +341,7 @@ def find_caterpillar_embedding(cloud: PointCloud, cfg: GeometryConfig) -> Caterp
 def embedding_is_valid(emb: CaterpillarEmbedding, cloud: PointCloud, radius: float) -> bool:
     """Explicit adjacency verification: every pair inside a block and every
     pair across consecutive blocks must be within `radius`."""
+    radius = as_real(radius, _RADIUS, ABOVE_ZERO, math.inf)
     pts = cloud.points
     r2 = radius * radius
     for bi, block in enumerate(emb.blocks):

@@ -37,6 +37,14 @@ TAG_POINTS = 0x504F494E
 TAG_CLOCK = 0x434C4F43
 TAG_MARK = 0x4D41524B
 TAG_CONTACT = 0x434F4E54
+TAG_CROSSING = 0x43524F53  # crossing_frequency's grids
+TAG_SPECTRAL = 0x50485459  # sample_clique_extinction_times
+TAG_BIRTH_DEATH = 0x4244  # birth_death_clique_simulate, after TAG_CONTACT
+TAG_PRUFER = 0x5052  # random_connected_graph's tree
+TAG_EXTRA_EDGE = 0x4558  # random_connected_graph's extra edges
+TAG_BATTERY = 0x42415454  # battery_graphs
+TAG_RGG_TAU = 0x544155  # rgg-tau's contact replicas
+TAG_D1_CONNECT, TAG_D1_FRAGMENT = 0x434E, 0x4652  # d1-regimes' replica salts, one per regime
 
 
 def _finalize(x: int) -> int:

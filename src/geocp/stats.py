@@ -15,12 +15,15 @@ def tau_summary(taus: Sequence[float], censored: Sequence[bool]) -> dict:
     and 25/50/75 % quantiles are taken over the uncensored values, sorted
     first so that the input order never shows through.  They are
     meaningful only where censoring is rare, and NaN when no uncensored
-    value is left (the standard error: fewer than two).
+    value is left (the standard error: fewer than two).  Non-finite taus,
+    censored or not, raise ValueError.
     """
     t = np.asarray(taus, dtype=float)
     flags = np.asarray(censored, dtype=bool)
     if t.ndim != 1 or flags.shape != t.shape:
         raise ValueError("taus and censored must be 1-d and of equal length")
+    if not np.isfinite(t).all():
+        raise ValueError("taus must be finite")
     vals = np.sort(t[~flags])
     n = vals.size
     if n == 0:

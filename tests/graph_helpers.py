@@ -6,7 +6,7 @@ from typing import Iterable
 
 import numpy as np
 
-from geocp.bounds import _check_graph
+from geocp.bounds import log_extinction_time_bound
 from geocp.graphs import Graph, _bfs, _depths, to_edge_list_text
 from geocp.rgg import PointCloud
 
@@ -49,7 +49,7 @@ def validate(g: Graph) -> None:
 def early_extinction_floor(v: int, e: int, lam: float) -> float:
     """Lower bound (2 + 4*lam*e/v)^(-v) on the probability that the process
     started anywhere dies within one time unit."""
-    _check_graph(v, e, lam)
+    log_extinction_time_bound(v, e, lam)  # for its input rule
     return math.exp(-v * math.log(2.0 + 4.0 * lam * e / v))
 
 

@@ -1,6 +1,8 @@
-"""One rule for integer arguments (`geocp.errors.as_int`): Python and numpy
-integers are accepted and passed on as Python ints; floats, bools,
-strings and values below the least allowed one raise ValueError."""
+"""One rule each for integer, real and vertex-set arguments
+(`geocp.errors.as_int`, `as_real` and `as_vertex_set`): Python and numpy
+numbers are accepted and passed on as Python ints and floats; bools,
+strings, NaN, floats where an integer is due and values out of range raise
+ValueError."""
 
 import math
 
@@ -8,14 +10,19 @@ import numpy as np
 import pytest
 
 from geocp.bounds import log_extinction_time_bound, rgg_log_tau_scale
-from geocp.contact import birth_death_clique_simulate, sample_extinction_times
+from geocp.contact import (ContactConfig, birth_death_clique_simulate, lit_snapshots,
+                           record_event_window, sample_extinction_times, simulate_coupled, simulate_extinction,
+                           simulate_rate_coupled)
+from geocp.errors import as_real, as_vertex_set
 from geocp.exact import (clique_extinction_rates, exact_expected_extinction_ctmc,
                          log_exact_clique_extinction, sample_clique_extinction_times)
-from geocp.graphs import CaterpillarSpec, Graph, build_complete, random_connected_graph
+from geocp.graphs import (CaterpillarSpec, Graph, build_caterpillar, build_complete,
+                          random_connected_graph)
 from geocp.percolation import (SiteGrid, crossing_frequency, has_crossing,
                                longest_open_path_exact, op_first_passage, op_run,
                                op_survival_frequency, sample_site_grid)
-from geocp.rgg import GeometryConfig
+from geocp.rgg import (CaterpillarEmbedding, GeometryConfig, PointCloud, discretize_boxes,
+                       embedding_is_valid)
 
 _GRID = sample_site_grid((3, 3), 0.6, 2)
 _K3 = build_complete(3)
@@ -91,3 +98,52 @@ def test_numpy_integers_are_accepted_as_python_ints():
     taus, _ = sample_extinction_times(_K3, 1.0, None, 1, i(3))
     assert len(taus) == 3
     assert exact_expected_extinction_ctmc(_K3, 1.0, i(3)) == exact_expected_extinction_ctmc(_K3, 1.0, 3)
+
+
+_CFG = ContactConfig(1.0, 5.0, seed=3)
+_CLOUD = PointCloud(np.array([[0.5, 0.5], [0.6, 0.5]]), 1.0)
+_EMBEDDING = CaterpillarEmbedding(((0, 0),), ((0, 1),), (0,), 2)
+
+REFUSED_VALUES = [
+    (lit_snapshots, (build_caterpillar(CaterpillarSpec(1, 4)), _CFG, math.inf)),  # once took time nan
+    (embedding_is_valid, (_EMBEDDING, _CLOUD, -1.0)),  # once read as radius 1
+    (embedding_is_valid, (_EMBEDDING, _CLOUD, math.nan)),  # once returned False
+    (discretize_boxes, (_CLOUD, 0.5, math.nan)),  # once opened no box
+    (rgg_log_tau_scale, (math.inf, 1.0, 2.0, 2)),  # once returned inf
+    (simulate_extinction, (_K3, _CFG, [True])),  # once read as vertex 1
+    (simulate_extinction, (_K3, _CFG, [1.5])),  # once raised TypeError
+    (simulate_extinction, (_K3, _CFG, ["1"])),
+    (simulate_coupled, (_K3, _CFG, [True], [0, 1])),
+    (simulate_coupled, (_K3, _CFG, [1.5], [0, 1])),
+    (simulate_coupled, (_K3, _CFG, [0], ["1"])),
+    (simulate_rate_coupled, (_K3, [1.0], 3, 5.0, [True])),
+    (simulate_rate_coupled, (_K3, [1.0], 3, 5.0, [1.5])),
+    (simulate_rate_coupled, (_K3, [1.0], 3, 5.0, ["1"])),
+    (op_run, (4, 0.6, {2.7}, 2, 1)),  # once started from site 2
+    (op_run, (4, 0.6, {True}, 2, 1)),  # once read as site 1
+    (ContactConfig, (np.float32(0.0),)),  # the bounds are met as doubles, not as float32
+    (record_event_window, (_K3, 1.0, 1, np.float32(math.inf))),
+]
+
+
+@pytest.mark.parametrize("call, args", REFUSED_VALUES,
+                         ids=[f"{call.__qualname__}-{k}" for k, (call, _) in enumerate(REFUSED_VALUES)])
+def test_bad_reals_and_vertex_sets_are_refused(call, args):
+    with pytest.raises(ValueError, match=", not "):
+        call(*args)
+
+
+def test_numpy_reals_and_vertices_are_accepted_as_python_numbers():
+    f, i = np.float32, np.int64
+    assert type(as_real(f(0.5), "x", 0.0, 1.0)) is float and as_real(i(1), "x", 0.0, 1.0) == 1.0
+    assert as_vertex_set([i(2), 0, i(2)], 3, "v") == {0, 2}
+    assert all(type(v) is int for v in as_vertex_set(np.arange(3), 3, "v"))
+    geo = GeometryConfig(np.float64(100.0), f(1.5), i(2), None, f(0.5), i(1))
+    assert geo == GeometryConfig(100.0, 1.5, 2, None, 0.5, 1.0)
+    assert all(type(x) is float for x in (geo.n, geo.radius, geo.lower, geo.upper))
+    run = op_run(4, f(0.75), {i(0), i(2)}, 3, 1)
+    assert run == op_run(4, 0.75, {0, 2}, 3, 1)
+    assert type(run.q) is float and all(type(v) is int for v in run.occupancy[0])
+    assert simulate_extinction(_K3, _CFG, [i(1)]) == simulate_extinction(_K3, _CFG, [1])
+    taus, _ = sample_extinction_times(_K3, np.float64(1.0), i(5), 1, 3)
+    assert taus.tolist() == sample_extinction_times(_K3, 1.0, 5.0, 1, 3)[0].tolist()

@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geocp import rng
 from geocp.rng import derive_seed, mix64, mix64_array, uniform_from_key
 
 
@@ -42,3 +43,9 @@ def test_mix64_array_matches_mix64_elementwise(columns, head):
     assert mix64_array(arrays[1], state=mix64_array(head, arrays[0])).tolist() == \
         [mix64(head, *row) for row in rows]
     assert mix64_array(head, head).tolist() == [mix64(head, head)]
+
+
+def test_stream_tags_are_distinct():
+    tags = {name: value for name, value in vars(rng).items() if name.startswith("TAG_")}
+    assert len(tags) >= 16
+    assert len(set(tags.values())) == len(tags)

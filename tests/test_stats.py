@@ -119,3 +119,10 @@ def test_summary_mixed_counts_censored_and_ignores_their_values():
 def test_summary_rejects_mismatched_flags():
     with pytest.raises(ValueError, match="equal length"):
         tau_summary([1.0, 2.0], [False])
+
+
+@pytest.mark.parametrize("taus, censored", [([1.0, math.inf, math.nan], [False] * 3),  # once mean nan
+                                            ([1.0, math.inf], [False, True])])
+def test_summary_rejects_non_finite_taus(taus, censored):
+    with pytest.raises(ValueError, match="finite"):
+        tau_summary(taus, censored)
