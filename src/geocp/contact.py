@@ -45,14 +45,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ABOVE_ZERO, BELOW_INF, as_int, as_real, as_vertex_set
+from .errors import ABOVE_ZERO, BELOW_INF, as_int, as_real, as_seed, as_vertex_set
 from .graphs import CaterpillarGraph, Graph
+from .rng import ROUND_CAP as _ROUND_CAP  # bound here, so a test can lower it for this module
 from .rng import TAG_BIRTH_DEATH, TAG_CLOCK, TAG_CONTACT, TAG_MARK, mix64, mix64_array
 
 _LAM = "infection rate must be positive and finite"
@@ -69,6 +70,7 @@ class ContactConfig:
 
     def __post_init__(self):
         as_real(self.lam, _LAM, ABOVE_ZERO, BELOW_INF)
+        as_seed(self.seed)
         if self.t_cap is not None:
             as_real(self.t_cap, _T_CAP, 0.0, math.inf)
 
@@ -310,7 +312,7 @@ def _replica(g: Graph, cfg: ContactConfig, initial: Iterable[int] | None) -> tup
 def replica_seed(master_seed: int, i: int) -> int:
     """Seed of replica i of `sample_extinction_times`; `simulate_extinction`
     with this seed reruns that replica."""
-    return mix64(master_seed, i) & 0x7FFFFFFF
+    return mix64(as_seed(master_seed), i) & 0x7FFFFFFF
 
 
 def sample_extinction_times(g: Graph, lam: float, t_cap: float | None, master_seed: int,
@@ -325,6 +327,7 @@ def sample_extinction_times(g: Graph, lam: float, t_cap: float | None, master_se
     lam = as_real(lam, _LAM, ABOVE_ZERO, BELOW_INF)
     cap = math.inf if t_cap is None else as_real(t_cap, _T_CAP, 0.0, math.inf)
     replicas = as_int(replicas, "replicas must be a non-negative integer")
+    master_seed = as_seed(master_seed)
     healthy = _healthy_flags(g.vertex_count, initial)
     if replicas == 0:
         return np.empty(0), np.empty(0, dtype=bool)
@@ -359,9 +362,6 @@ class EventRecord:
     lam: float
     horizon: float
     events: tuple
-
-
-_ROUND_CAP = 1 << 16  # clock draws hashed per round, whatever lam * horizon is
 
 
 def _clock_rings(keys: np.ndarray, rate: float, horizon: float
@@ -412,27 +412,35 @@ def record_event_window(g: Graph, lam: float, seed: int, horizon: float) -> Even
     and n + j the infection clock (rate lam) of the j-th directed edge in
     adjacency order.  Ring c of stream s draws its gap from the key
     (seed, TAG_CLOCK, s, c) and, for an infection, its mark from
-    (seed, TAG_MARK, s, c).  Every ring is hashed in bulk, and the events
-    come sorted by (time, stream id, counter).
+    (seed, TAG_MARK, s, c).  Every ring is hashed in bulk: both kinds of
+    stream key in one call, the clocks in one `_clock_rings` pass per
+    rate, the marks in one call; the events come sorted by (time, stream
+    id, counter).
     """
     lam = as_real(lam, _LAM, ABOVE_ZERO, BELOW_INF)
     horizon = as_real(horizon, "graphical windows need a finite non-negative horizon", 0.0, BELOW_INF)
+    seed = as_seed(seed)
     n = g.vertex_count
-    src = np.repeat(np.arange(n), [len(nbrs) for nbrs in g.adjacency])
-    dst = np.fromiter((w for nbrs in g.adjacency for w in nbrs), np.int64, len(src))
-    keys = mix64_array(np.arange(n + len(src)), state=mix64(seed, TAG_CLOCK))
-    t_rec, sid_rec, c_rec = _clock_rings(keys[:n], 1.0, horizon)
-    t_inf, j, c_inf = _clock_rings(keys[n:], lam, horizon)
-    marks = mix64_array(seed, TAG_MARK, j + n, c_inf) >> np.uint64(11)
+    degrees = [len(nbrs) for nbrs in g.adjacency]
+    tail = np.concatenate([np.arange(n), np.repeat(np.arange(n), degrees)])  # a, by stream id
+    head = np.fromiter(chain([-1] * n, *g.adjacency), np.int64, len(tail))  # b, -1 for a recovery
+    streams = np.arange(len(tail))
+    prefixes = np.array([[mix64(seed, TAG_CLOCK)], [mix64(seed, TAG_MARK)]], dtype=np.uint64)
+    clock_keys, mark_keys = mix64_array(streams, state=prefixes)
+    # one pass per rate, so that a round is as wide as its own clocks need
+    t_rec, sid_rec, c_rec = _clock_rings(clock_keys[:n], 1.0, horizon)
+    t_inf, j, c_inf = _clock_rings(clock_keys[n:], lam, horizon)
     t = np.concatenate([t_rec, t_inf])
     sid = np.concatenate([sid_rec, j + n])
     counter = np.concatenate([c_rec, c_inf])
     order = np.lexsort((counter, sid, t))
-    kind = (sid >= n).astype(np.int64)
-    a = np.concatenate([sid_rec, src[j]])
-    b = np.concatenate([np.full(len(sid_rec), -1), dst[j]])
-    mark = np.concatenate([np.zeros(len(sid_rec)), marks.astype(np.float64) * 2.0**-53])
-    columns = (arr[order].tolist() for arr in (t, sid, counter, kind, a, b, mark))
+    t, sid, counter = t[order], sid[order], counter[order]
+    infection = sid >= n
+    mark = np.zeros(len(t))
+    marks = mix64_array(counter[infection], state=mark_keys[sid[infection]]) >> np.uint64(11)
+    mark[infection] = marks.astype(np.float64) * 2.0**-53
+    kind = infection.astype(np.int64)
+    columns = (arr.tolist() for arr in (t, sid, counter, kind, tail[sid], head[sid], mark))
     return EventRecord(g, lam, horizon, tuple(zip(*columns)))
 
 
@@ -523,15 +531,18 @@ def dual_from_record(record: EventRecord, targets: Iterable[int], t_end: float
     arrows reversed."""
     t_end = as_real(t_end, _T_END, 0.0, record.horizon)
     mask = _mask_of(targets, record.graph.vertex_count)
-    traj = [(0.0, _set_of(mask))]
+    dual = _set_of(mask)
+    traj = [(0.0, dual)]
     relevant = [ev for ev in record.events if ev[0] <= t_end]
     for t, _sid, _c, kind, a, b, _mark in reversed(relevant):
-        s = t_end - t
+        before = mask
         if kind == _RECOVERY:
             mask &= ~(1 << a)
         elif mask >> b & 1:
             mask |= 1 << a
-        traj.append((s, _set_of(mask)))
+        if mask != before:  # the set changes: a new frozenset, else the last one again
+            dual = _set_of(mask)
+        traj.append((t_end - t, dual))
     return traj
 
 
@@ -595,7 +606,7 @@ def birth_death_clique_simulate(m: int, lam: float, initial_count: int, seed: in
     k = as_int(initial_count, "initial count must be an integer in [0, m]")
     if k > m:
         raise ValueError(f"initial count must be an integer in [0, m], not {k} > {m}")
-    rng = np.random.default_rng(mix64(seed, TAG_CONTACT, TAG_BIRTH_DEATH))
+    rng = np.random.default_rng(mix64(as_seed(seed), TAG_CONTACT, TAG_BIRTH_DEATH))
     t = 0.0
     while k > 0:
         up = lam * k * (m - k)
@@ -629,7 +640,11 @@ def lit_snapshots(cat: CaterpillarGraph, cfg: ContactConfig, cadence: float | No
     if cadence is None:
         if cfg.lam * m <= 1.0:
             raise ValueError("default cadence undefined for lam*M <= 1; pass one")
-        cadence = math.exp(m * math.log(cfg.lam * m) / 16.0)
+        exponent = m * math.log(cfg.lam * m) / 16.0
+        if exponent > math.log(BELOW_INF):
+            raise ValueError(f"the default cadence exp(M*log(lam*M)/16) = exp({exponent:.6g}) overflows "
+                             "a float; pass a cadence, not None")
+        cadence = math.exp(exponent)
     cadence = as_real(cadence, "cadence must be positive and finite", ABOVE_ZERO, BELOW_INF)
     horizon = math.inf if cfg.t_cap is None else cfg.t_cap
     run = _run(cat.graph, cfg, initial, 0.0)

@@ -1,5 +1,5 @@
-"""Shared exception types and the one rule each for integer, real and
-vertex-set arguments."""
+"""Shared exception types and the one rule each for integer, seed, real
+and vertex-set arguments."""
 
 import math
 import sys
@@ -21,6 +21,12 @@ def as_int(x, rule: str, least: float = 0) -> int:
     if type(x) is not int and (isinstance(x, bool) or not isinstance(x, Integral)) or x < least:
         raise ValueError(f"{rule}, not {x!r}")
     return int(x)
+
+
+def as_seed(x) -> int:
+    """`x` as a Python int when it is an integer, numpy's included, of any
+    sign: a seed's bits are hashed modulo 2^64."""
+    return as_int(x, "seed must be an integer", -math.inf)
 
 
 def as_real(x, rule: str, low: float, high: float) -> float:

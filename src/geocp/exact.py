@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import BELOW_INF, BudgetExceededError, as_int, as_real
+from .errors import BELOW_INF, BudgetExceededError, as_int, as_real, as_seed
 from .graphs import Graph
 from .rng import TAG_SPECTRAL, mix64
 
@@ -106,7 +106,7 @@ def sample_clique_extinction_times(m: int, lam: float, count: int, seed: int) ->
     count = as_int(count, "count must be a non-negative integer")
     lam = as_real(lam, _LAM, 0.0, BELOW_INF)
     rates = clique_extinction_rates(m, lam)
-    rng = np.random.default_rng(mix64(seed, TAG_SPECTRAL))
+    rng = np.random.default_rng(mix64(as_seed(seed), TAG_SPECTRAL))
     out = np.empty(count)
     rows = max(1, _SAMPLE_BLOCK // m)
     for lo in range(0, count, rows):

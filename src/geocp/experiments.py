@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds, exact, percolation, rgg, stats
 from .contact import sample_extinction_times
-from .errors import ABOVE_ZERO, BELOW_INF, as_real
+from .errors import ABOVE_ZERO, BELOW_INF, as_real, as_seed
 from .graphs import Graph, random_connected_graph
 from .rng import TAG_BATTERY, TAG_D1_CONNECT, TAG_D1_FRAGMENT, TAG_RGG_TAU, derive_seed, mix64
 
@@ -370,6 +370,7 @@ def battery_graphs(seed: int, count: int, lam_max: float, mean_cap: float) -> li
     battery stays inside its runtime budget; the agreement gate itself does
     not depend on which graphs are drawn.
     """
+    seed = as_seed(seed)
     graphs = []
     salt = 0
     while len(graphs) < count:

@@ -8,7 +8,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import as_int
+from .errors import as_int, as_seed
 from .rng import TAG_EXTRA_EDGE, TAG_PRUFER, mix64
 
 
@@ -209,6 +209,7 @@ def random_connected_graph(vertex_count: int, extra_edges: int, seed: int) -> Gr
     """Random connected graph: uniform labeled tree plus extra random edges."""
     n = as_int(vertex_count, "vertex_count must be a positive integer", 1)
     extra_edges = as_int(extra_edges, "extra_edges must be a non-negative integer")
+    seed = as_seed(seed)
     if n == 1:
         return Graph.from_edges(1, [])
     edges: set[tuple[int, int]] = set()

@@ -21,11 +21,14 @@ Conventions used throughout:
   drawn _HASH_BLOCK steps at a time through `mix64_array`, and the polish
   stops as soon as every site of the start's cluster is visited, after
   which no head can extend and the best path cannot change;
-* every oriented-percolation run steps through `_op_step`, which hashes a
-  whole step's arrows at once for any number of replicas; replica r of a
-  batch runs on the field of derive_seed(seed, r), so it is exactly the
-  single run `op_run` with that seed.  Only the site grids draw from a
-  numpy Generator;
+* every oriented-percolation run draws its arrows from one hashing
+  routine, `_op_arrows`, and moves through one occupancy stepper,
+  `_op_advance`.  A single run (`op_run`, `op_first_passage`) hashes its
+  whole horizon up front, in as few `mix64_array` calls as rng.ROUND_CAP
+  draws a call allow; a replica batch hashes one step of all its live
+  replicas per call.  Replica r of a batch runs on the field of
+  derive_seed(seed, r), so it is exactly the single run `op_run` with that
+  seed.  Only the site grids draw from a numpy Generator;
 * the exact oriented-percolation routes (`op_exact_survival`,
   `op_extinction_profile_exact`) take their class transfer matrices from
   `_transfer_matrices`, under one budget of _EXACT_EVEN_SITES = 10 even
@@ -47,8 +50,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, as_int, as_real, as_vertex_set
+from .errors import BudgetExceededError, as_int, as_real, as_seed, as_vertex_set
 from .graphs import _bfs, _components, _depths
+from .rng import ROUND_CAP as _ROUND_CAP  # bound here, so a test can lower it for this module
 from .rng import TAG_ARROW, TAG_CROSSING, TAG_REPLICA, TAG_SITE, mix64, mix64_array
 
 # ---------------------------------------------------------------------------
@@ -80,13 +84,13 @@ def _grid_dims(dims: Sequence[int]) -> tuple[int, ...]:
 def sample_uniform_field(dims: Sequence[int], seed: int) -> np.ndarray:
     """Uniform marks per site; thresholding at p gives coupled site grids
     that are monotone in p."""
-    rng = np.random.default_rng(mix64(seed, TAG_SITE))
+    rng = np.random.default_rng(mix64(as_seed(seed), TAG_SITE))
     return rng.random(_grid_dims(dims))
 
 
 def grid_from_field(field_arr: np.ndarray, p: float, seed: int | None = None) -> SiteGrid:
     p = as_real(p, "p must lie in [0, 1]", 0.0, 1.0)
-    return SiteGrid(tuple(field_arr.shape), field_arr < p, p, seed)
+    return SiteGrid(tuple(field_arr.shape), field_arr < p, p, None if seed is None else as_seed(seed))
 
 
 def sample_site_grid(dims: Sequence[int], p: float, seed: int) -> SiteGrid:
@@ -403,6 +407,7 @@ def crossing_frequency(dims: Sequence[int], p: float, replicas: int, seed: int,
                        axis: int = 0) -> tuple[float, float]:
     """Monte Carlo crossing probability with its standard error."""
     replicas = as_int(replicas, _REPLICAS, 1)
+    seed = as_seed(seed)
     hits = 0
     for r in range(replicas):
         grid = sample_site_grid(dims, p, mix64(seed, TAG_CROSSING, r))
@@ -627,29 +632,52 @@ _SHIFT = np.uint64(11)
 def _op_start(ell: int, initial: frozenset[int], seeds):
     """Set-up of the oriented-percolation stepper for one replica per seed
     (an int, or a uint64 array): the arrow keys mix64(seed, TAG_ARROW, i) by
-    replica (rows) and site i (columns), and the step-0 occupancy."""
-    keys = mix64_array(np.arange(ell + 1), state=mix64_array(seeds, TAG_ARROW)[:, None])
+    replica (rows) and site i (columns: the even sites, then the odd ones),
+    and the step-0 occupancy."""
+    sites = np.arange(ell + 1)
+    streams = mix64_array(seeds, TAG_ARROW)[:, None]
+    keys = mix64_array(np.concatenate((sites[::2], sites[1::2])), state=streams)
     occ = np.zeros(keys.shape, dtype=bool)
     occ[:, sorted(initial)] = True
     return keys, occ
 
 
-def _op_step(keys: np.ndarray, t: int, occ: np.ndarray, q: float):
-    """The oriented-percolation stepper: from the occupancy `occ` at step t,
-    returns the flags of the arrows out of step t and the occupancy at step
-    t + 1.  Only the sites i with i + t even can be occupied, so only they
-    are hashed: flags[r, i // 2, d] is uniform_from_key(seed_r, TAG_ARROW,
-    i, t, d) < q, bit for bit, for the arrow of direction d = 0 to (i - 1,
-    t + 1) and d = 1 to (i + 1, t + 1)."""
+def _op_arrows(keys: np.ndarray, q: float, steps: range):
+    """The hashing routine of the oriented-percolation stepper: yields, for
+    each step t of `steps`, the flags of the arrows out of step t.  Only the
+    sites i with i + t even can be occupied, so only they are hashed:
+    flags[r, i // 2, d] is uniform_from_key(seed_r, TAG_ARROW, i, t, d) < q,
+    bit for bit, for the arrow of direction d = 0 to (i - 1, t + 1) and
+    d = 1 to (i + 1, t + 1).  Consecutive steps share one mix64_array call
+    while their draws stay within _ROUND_CAP; one step's are never split.
+    A step's sites are a run of key columns, so a block's are one cyclic
+    run: a view of the keys unless it wraps."""
+    sites = keys.shape[1]
+    evens = (sites + 1) // 2
+    block = max(1, _ROUND_CAP // (len(keys) * (sites + 1)))  # a step hashes <= sites + 1 arrows a row
+    for lo in range(steps.start, steps.stop, block):
+        t = np.arange(lo, min(lo + block, steps.stop))
+        widths = np.where(t % 2, sites - evens, evens)
+        ends = np.cumsum(widths)
+        first = lo % 2 * evens
+        cols = slice(first, first + ends[-1]) if first + ends[-1] <= sites else \
+            np.arange(first, first + ends[-1]) % sites
+        # u < q exactly when (hash >> 11) < q * 2^53
+        flags = mix64_array(np.repeat(t, widths)[:, None], _DIRECTIONS,
+                            state=keys[:, cols, None]) >> _SHIFT < q * 2.0**53
+        for end, width in zip(ends.tolist(), widths.tolist()):
+            yield flags[:, end - width:end]
+
+
+def _op_advance(occ: np.ndarray, t: int, flags: np.ndarray) -> np.ndarray:
+    """The occupancy stepper: the occupancy at step t + 1 from `occ` at
+    step t and the arrow flags out of step t."""
     p = t % 2
-    h = mix64_array(t, state=keys[:, p::2])
-    # u < q exactly when (hash >> 11) < q * 2^53
-    flags = mix64_array(_DIRECTIONS, state=h[..., None]) >> _SHIFT < q * 2.0**53
-    here = occ[:, p::2]
+    moves = occ[:, p::2, None] & flags
     nxt = np.zeros((len(occ), occ.shape[1] + 2), dtype=bool)  # site i in column i + 1
-    nxt[:, p:-2:2] = here & flags[..., 0]
-    nxt[:, p + 2::2] |= here & flags[..., 1]
-    return flags, nxt[:, 1:-1]
+    nxt[:, p:-2:2] = moves[..., 0]
+    nxt[:, p + 2::2] |= moves[..., 1]
+    return nxt[:, 1:-1]
 
 
 def op_run(ell: int, q: float, initial: Iterable[int], horizon: int, seed: int) -> OrientedRun:
@@ -659,17 +687,20 @@ def op_run(ell: int, q: float, initial: Iterable[int], horizon: int, seed: int) 
     every later state is empty); `extinction_step` carries the step index.
     """
     ell, q, horizon, init = _check_op(ell, q, horizon, initial)
+    seed = as_seed(seed)
     occupancy = [init]
     arrows: dict = {}
     keys, occ = _op_start(ell, init, seed)
-    while len(occupancy) <= horizon and occupancy[-1]:
-        t = len(occupancy) - 1
-        flags, occ = _op_step(keys, t, occ, q)
+    for t, flags in enumerate(_op_arrows(keys, q, range(horizon))):
+        if not occupancy[-1]:
+            break
+        flag = flags[0].tolist()
         for i in occupancy[-1]:
             if i > 0:
-                arrows[(i, t, 0)] = bool(flags[0, i // 2, 0])
+                arrows[(i, t, 0)] = flag[i // 2][0]
             if i < ell:
-                arrows[(i, t, 1)] = bool(flags[0, i // 2, 1])
+                arrows[(i, t, 1)] = flag[i // 2][1]
+        occ = _op_advance(occ, t, flags)
         occupancy.append(frozenset(occ[0].nonzero()[0].tolist()))
     extinction = None if occupancy[-1] else len(occupancy) - 1
     return OrientedRun(ell, q, horizon, seed, tuple(occupancy), arrows, extinction)
@@ -685,14 +716,14 @@ def op_first_passage(ell: int, q: float, seed: int) -> FirstPassage:
     """First step at which site ell is occupied starting from {0}, censored
     at horizon 2*ell."""
     ell, q, _, _ = _check_op(ell, q, 0)
-    keys, occ = _op_start(ell, frozenset({0}), seed)
-    t = 0
-    while not occ[0, ell]:
-        if t == 2 * ell or not occ.any():
-            return FirstPassage(None, True)
-        occ = _op_step(keys, t, occ, q)[1]
-        t += 1
-    return FirstPassage(t, False)
+    keys, occ = _op_start(ell, frozenset({0}), as_seed(seed))
+    for t, flags in enumerate(_op_arrows(keys, q, range(2 * ell))):
+        if occ[0, ell] or not occ.any():
+            break
+        occ = _op_advance(occ, t, flags)
+    else:
+        t = 2 * ell
+    return FirstPassage(t, False) if occ[0, ell] else FirstPassage(None, True)
 
 
 # the exact OP routes work on occupancy subsets of each parity class, so
@@ -753,7 +784,7 @@ def _simulate_batch(ell: int, q: float, steps: int, replicas: int, seed: int,
     steps and each replica's extinction step (steps + 1 if alive)."""
     ell, q, steps, init = _check_op(ell, q, steps, initial)
     # derive_seed(seed, r) for every r
-    keys, occ = _op_start(ell, init, mix64_array(seed, TAG_REPLICA, np.arange(replicas)))
+    keys, occ = _op_start(ell, init, mix64_array(as_seed(seed), TAG_REPLICA, np.arange(replicas)))
     extinct_at = np.full(replicas, steps + 1)
     live = np.arange(replicas)  # the replicas still alive: the rows of keys and occ
     for t in range(steps + 1):
@@ -763,7 +794,8 @@ def _simulate_batch(ell: int, q: float, steps: int, replicas: int, seed: int,
             live, keys, occ = live[alive], keys[alive], occ[alive]
         if t == steps or not live.size:
             break
-        occ = _op_step(keys, t, occ, q)[1]
+        (flags,) = _op_arrows(keys, q, range(t, t + 1))
+        occ = _op_advance(occ, t, flags)
     final = np.zeros((replicas, ell + 1), dtype=bool)
     final[live] = occ
     return final, extinct_at

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ABOVE_ZERO, BELOW_INF, as_int, as_real
+from .errors import ABOVE_ZERO, BELOW_INF, as_int, as_real, as_seed
 from .graphs import Graph
 from .percolation import SiteGrid, find_long_open_path
 from .rng import TAG_POINTS, mix64
@@ -95,7 +95,7 @@ def sample_poisson_points(cfg: GeometryConfig, seed: int) -> PointCloud:
     probability intensity(x)/upper; the survivors are exactly the target
     process, for any bounded intensity.
     """
-    rng = np.random.default_rng(mix64(seed, TAG_POINTS, 1))
+    rng = np.random.default_rng(mix64(as_seed(seed), TAG_POINTS, 1))
     side = cfg.domain_side
     total = rng.poisson(cfg.upper * cfg.n)
     pts = rng.random((total, cfg.dim)) * side

@@ -88,6 +88,11 @@ def mix64_array(*keys, state=_GOLDEN) -> np.ndarray:
     return np.array([h & _MASK], dtype=np.uint64) if isinstance(h, int) else h
 
 
+# at most this many draws per mix64_array call in a bulk loop (a round of a
+# clock window, a block of oriented-percolation steps), whatever the run's size
+ROUND_CAP = 1 << 16
+
+
 def uniform_from_key(*keys: int) -> float:
     """Uniform variate in [0, 1) determined entirely by the key tuple."""
     return (mix64(*keys) >> 11) * 2.0**-53

@@ -1,8 +1,8 @@
-"""One rule each for integer, real and vertex-set arguments
-(`geocp.errors.as_int`, `as_real` and `as_vertex_set`): Python and numpy
-numbers are accepted and passed on as Python ints and floats; bools,
-strings, NaN, floats where an integer is due and values out of range raise
-ValueError."""
+"""One rule each for integer, seed, real and vertex-set arguments
+(`geocp.errors.as_int`, `as_seed`, `as_real` and `as_vertex_set`): Python
+and numpy numbers are accepted and passed on as Python ints and floats;
+bools, strings, NaN, floats where an integer is due and values out of range
+raise ValueError.  Seeds are integers of any sign."""
 
 import math
 
@@ -123,6 +123,16 @@ REFUSED_VALUES = [
     (op_run, (4, 0.6, {True}, 2, 1)),  # once read as site 1
     (ContactConfig, (np.float32(0.0),)),  # the bounds are met as doubles, not as float32
     (record_event_window, (_K3, 1.0, 1, np.float32(math.inf))),
+    # the default cadence exp(M*log(lam*M)/16) overflows: once a bare OverflowError
+    (lit_snapshots, (build_caterpillar(CaterpillarSpec(1, 200)), ContactConfig(1e23, 1.0))),
+    (op_run, (8, 0.6, {0}, 6, 1.5)),  # once ran seed 1's arrows
+    (op_first_passage, (8, 0.6, 2.5)),
+    (op_survival_frequency, (4, 0.6, 2, 10, 2.5)),
+    (sample_extinction_times, (_K3, 1.0, None, 1.5, 3)),  # once raised TypeError
+    (record_event_window, (_K3, 1.0, 1.5, 1.0)),
+    (simulate_rate_coupled, (_K3, [1.0], 2.5, 1.0)),
+    (ContactConfig, (1.0, 5.0, 2.5)),  # once accepted, to fail later
+    (ContactConfig, (1.0, 5.0, True)),
 ]
 
 

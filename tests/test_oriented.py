@@ -10,6 +10,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from geocp import percolation
 from geocp.errors import BudgetExceededError
 from geocp.percolation import (FirstPassage, _class_transition, _gth_last_mean, _simulate_batch,
                                _transfer_matrices,
@@ -275,6 +276,60 @@ def test_op_run_arrows_match_the_scalar_flag():
         run = op_run(9, q, full_interval_initial(9), 14, seed)
         assert len(run.arrows) > 20
         assert all(v == arrow_open(seed, *key, q) for key, v in run.arrows.items())
+
+
+def _op_cells():
+    runs = [op_run(ell, q, start, horizon, seed)
+            for ell in (0, 1, 5, 8) for q in (0.5, 0.9) for seed in (3, -1, 2**64 - 1)
+            for start, horizon in ((full_interval_initial(ell), 2 * ell + 5), ({0}, 7), ({0}, 0))]
+    passages = [op_first_passage(ell, q, seed) for ell in (0, 1, 5, 8) for q in (0.6, 0.9) for seed in range(4)]
+    survival = [op_survival_frequency(ell, q, 6, 40, seed) for ell in (0, 3, 8) for q in (0.6, 0.9)
+                for seed in range(3)]
+    return runs, passages, survival
+
+
+@pytest.mark.parametrize("cap", [1, 3, 40, 200])
+def test_op_hashing_under_a_small_draw_cap(monkeypatch, cap):
+    # cap 1 and 3 hash one step per call; 40 and 200 hash blocks of steps
+    # whose key columns wrap, at ell = 5 and 8 (7 or 10 arrows a step)
+    uncapped = _op_cells()
+    monkeypatch.setattr(percolation, "_ROUND_CAP", cap)
+    assert _op_cells() == uncapped
+
+
+def _record_hash_sizes(monkeypatch):
+    sizes = []
+
+    def recording(*keys, **kwargs):
+        out = real(*keys, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    real = percolation.mix64_array
+    monkeypatch.setattr(percolation, "mix64_array", recording)
+    return sizes
+
+
+def test_op_run_hashes_its_whole_horizon_at_once(monkeypatch):
+    sizes = _record_hash_sizes(monkeypatch)
+    for q in (0.55, 0.85):
+        run = op_run(24, q, full_interval_initial(24), 48, 7)
+        assert run.extinction_step is None or run.extinction_step > 1
+        # the replica's stream, its 25 arrow keys, then 48 steps of 13 or 12 sites, 2 arrows each
+        assert sizes == [1, 25, 48 * 25]
+        sizes.clear()
+    assert op_first_passage(24, 0.55, 7) is not None
+    assert sizes == [1, 25, 48 * 25]
+
+
+def test_op_batch_hashes_one_step_per_call(monkeypatch):
+    sizes = _record_hash_sizes(monkeypatch)
+    _, extinct_at = _simulate_batch(8, 0.9, 8, 20_000, 3, full_interval_initial(8))
+    assert (extinct_at > 8).any()
+    # the replicas' seeds and streams, their keys, then one call per step:
+    # at most 5 sites of the live replicas, 2 arrows each
+    assert sizes[:3] == [20_000, 20_000, 20_000 * 9] and len(sizes) == 3 + 8
+    assert all(size <= 20_000 * 5 * 2 for size in sizes[3:])
 
 
 def test_monotone_in_q_and_initial_coupled():
