@@ -1,9 +1,10 @@
 """Command-line entry points.
 
-Experiment definitions live in config files (see README for the grammar);
-the `experiment` subcommand only takes the config path, output directory,
-worker count and log level.  The remaining subcommands are small direct
-tools around the library.
+Each experiment kind runs one way: `experiment` reads its definition from a
+config file (see README for the grammar), takes only the config path,
+output directory, worker count and log level, and prints the summary JSON.
+`generate`, `simulate` and `percolation` are small direct tools around the
+library.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from pathlib import Path
 
 from . import percolation, rgg
 from .contact import replica_seed, sample_extinction_times
-from .experiments import (ResultTable, emit_plot_data, exp1_survival_plot,
-                          parse_config, run_experiment)
+from .experiments import parse_config, run_experiment
 from .graphs import CaterpillarSpec, build_caterpillar, build_complete, read_edge_list, write_edge_list
 
 log = logging.getLogger("geocp")
@@ -109,54 +109,6 @@ def _cmd_percolation(args) -> int:
     return 0
 
 
-def _add_embedding(sub):
-    p = sub.add_parser("embedding", help="caterpillar-of-cliques embedding in one cloud")
-    p.add_argument("--n", type=float, default=10_000.0)
-    p.add_argument("--r-pow-d", type=float, default=100.0)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _cmd_embedding(args) -> int:
-    radius = args.r_pow_d ** (1.0 / args.d)
-    cfg = rgg.GeometryConfig(args.n, radius, args.d)
-    cloud = rgg.sample_poisson_points(cfg, args.seed)
-    emb = rgg.find_caterpillar_embedding(cloud, cfg)
-    if emb is None:
-        print("no embedding found")
-        return 1
-    ok = rgg.embedding_is_valid(emb, cloud, radius)
-    print(f"spine length {emb.spine_length}, block size {emb.block_size}, "
-          f"valid: {ok}")
-    return 0 if ok else 1
-
-
-def _add_oracle(sub):
-    p = sub.add_parser("oracle", help="simulator-vs-exact agreement battery")
-    p.add_argument("--graphs", type=int, default=20)
-    p.add_argument("--replicas", type=int, default=10_000)
-    p.add_argument("--lams", type=float, nargs="+", default=[0.5, 1.0, 2.0])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out-dir", default=None)
-
-
-def _cmd_oracle(args) -> int:
-    from .experiments import ExperimentConfig
-
-    cfg = ExperimentConfig(
-        "oracle-battery", args.seed, args.workers,
-        contact={"lam": None, "t_cap": None, "replicas": args.replicas},
-        options={"graphs": str(args.graphs), "lams": " ".join(str(x) for x in args.lams)},
-    )
-    table = run_experiment(cfg, out_dir=args.out_dir)
-    for row in table.rows:
-        print(f"graph {row[0]:3d} |V|={row[1]} |E|={row[2]} lam={row[3]:<4} "
-              f"exact={row[4]:.5g} sim={row[5]:.5g} z={row[7]:+.2f}")
-    print(f"max |z| = {table.summary['max_abs_z']:.3f}")
-    return 0 if table.summary["all_within_3se"] else 1
-
-
 def _add_experiment(sub):
     p = sub.add_parser("experiment", help="run a config-driven experiment")
     p.add_argument("--config", required=True)
@@ -174,55 +126,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _add_plot_data(sub):
-    p = sub.add_parser("plot-data", help="project a result CSV into tidy (x, y, series)")
-    p.add_argument("--results", required=True, help="directory holding <kind>.csv")
-    p.add_argument("--kind", required=True)
-    p.add_argument("--x", default=None)
-    p.add_argument("--ys", nargs="+", default=None)
-    p.add_argument("--out", required=True)
-
-
-_PLOT_DEFAULTS = {
-    "clique-scaling": ("scale_m_log_lam_m", ["log_mean_extinction"]),
-    "percolation-sweep": ("p", ["crossing_freq"]),
-    "embedding": ("r_pow_d", ["spine_length"]),
-    "rgg-tau": ("replica", ["tau"]),
-    "d1-regimes": ("replica", ["largest_component"]),
-}
-
-
-def _cmd_plot_data(args) -> int:
-    import csv
-
-    path = Path(args.results) / f"{args.kind}.csv"
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        columns = tuple(next(reader))
-        rows = []
-        for raw in reader:
-            row = []
-            for x in raw:
-                try:
-                    row.append(float(x))
-                except ValueError:
-                    row.append(x)
-            rows.append(tuple(row))
-    table = ResultTable(args.kind, columns, rows, {})
-    if args.kind == "exp1-test" and args.x is None:
-        out = exp1_survival_plot(table)
-    else:
-        x, ys = args.x, args.ys
-        if x is None:
-            if args.kind not in _PLOT_DEFAULTS:
-                raise SystemExit(f"no default projection for {args.kind}; pass --x/--ys")
-            x, ys = _PLOT_DEFAULTS[args.kind]
-        out = emit_plot_data(table, x, ys or [])
-    Path(args.out).write_text(out.to_csv_text())
-    log.info("wrote %s", args.out)
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="geocp",
                                      description="epidemic/percolation lab on geometric graphs")
@@ -231,10 +134,7 @@ def main(argv=None) -> int:
     _add_generate(sub)
     _add_simulate(sub)
     _add_percolation(sub)
-    _add_embedding(sub)
-    _add_oracle(sub)
     _add_experiment(sub)
-    _add_plot_data(sub)
     args = parser.parse_args(argv)
     level = args.log_level
     logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING),
@@ -243,10 +143,7 @@ def main(argv=None) -> int:
         "generate": _cmd_generate,
         "simulate": _cmd_simulate,
         "percolation": _cmd_percolation,
-        "embedding": _cmd_embedding,
-        "oracle": _cmd_oracle,
         "experiment": _cmd_experiment,
-        "plot-data": _cmd_plot_data,
     }
     return handlers[args.command](args)
 

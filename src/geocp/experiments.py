@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds, exact, percolation, rgg, stats
 from .contact import sample_extinction_times
-from .errors import ABOVE_ZERO, BELOW_INF, as_real, as_seed
+from .errors import ABOVE_ZERO, BELOW_INF, as_int, as_real, as_seed
 from .graphs import Graph, random_connected_graph
 from .rng import TAG_BATTERY, TAG_D1_CONNECT, TAG_D1_FRAGMENT, TAG_RGG_TAU, derive_seed, mix64
 
@@ -44,8 +44,20 @@ class ExperimentConfig:
                 f"[experiment] kind: unknown kind {self.kind!r}; "
                 f"expected one of {', '.join(EXPERIMENT_KINDS)}"
             )
-        if self.workers < 1:
-            raise ConfigError("[experiment] workers: must be >= 1")
+        self.seed = _checked(as_seed, self.seed)
+        self.workers = _workers(self.workers)
+
+
+def _checked(rule, *args):
+    """rule(*args), its ValueError raised as a ConfigError."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _workers(x) -> int:
+    return _checked(as_int, x, "[experiment] workers: must be an integer >= 1", 1)
 
 
 def _section(parser, section, casts: dict) -> dict:
@@ -113,12 +125,6 @@ class ResultTable:
     rows: list[tuple]
     summary: dict
 
-    def column(self, name: str) -> list:
-        if name not in self.columns:
-            raise ValueError(f"unknown column {name!r}; table has {', '.join(self.columns)}")
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
-
     def to_csv_text(self) -> str:
         import csv
         import io
@@ -149,29 +155,6 @@ class ResultTable:
         csv_path.write_text(self.to_csv_text())
         json_path.write_text(self.summary_json() + "\n")
         return csv_path, json_path
-
-
-def emit_plot_data(table: ResultTable, x: str, ys: list[str]) -> ResultTable:
-    """Project table columns into tidy long-format (x, y, series) rows."""
-    xs = table.column(x)
-    rows = []
-    for yname in ys:
-        for xv, yv in zip(xs, table.column(yname)):
-            rows.append((xv, yv, yname))
-    return ResultTable(f"{table.kind}-plot", ("x", "y", "series"), rows,
-                       {"source_kind": table.kind, "x": x, "series": list(ys)})
-
-
-def exp1_survival_plot(table: ResultTable) -> ResultTable:
-    """(x, empirical survival, exp(-x)) triples from an exp1-test table."""
-    xs = sorted(table.column("normalized"))
-    n = len(xs)
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append((x, (n - i - 1) / n, "empirical"))
-        rows.append((x, math.exp(-x), "unit_exponential"))
-    return ResultTable("exp1-survival-plot", ("x", "y", "series"), rows,
-                       {"source_kind": table.kind, "count": n})
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +290,7 @@ def _contact_lam(cfg: ExperimentConfig, default: float) -> float:
     lam = cfg.contact.get("lam")
     if lam is None:
         return default
-    try:
-        return as_real(lam, "[contact] lam: must be positive and finite", ABOVE_ZERO, BELOW_INF)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _checked(as_real, lam, "[contact] lam: must be positive and finite", ABOVE_ZERO, BELOW_INF)
 
 
 def _run_clique_scaling(cfg: ExperimentConfig, workers: int) -> ResultTable:
@@ -503,7 +483,7 @@ EXPERIMENT_KINDS = tuple(_RUNNERS)
 def run_experiment(cfg: ExperimentConfig, out_dir=None, workers: int | None = None) -> ResultTable:
     """Run one experiment; writes <kind>.csv and <kind>_summary.json when
     out_dir is given.  Output bytes depend only on (config, master seed)."""
-    w = workers if workers is not None else cfg.workers
+    w = _workers(workers) if workers is not None else cfg.workers
     table = _RUNNERS[cfg.kind](cfg, w)
     if out_dir is not None:
         table.write(out_dir)

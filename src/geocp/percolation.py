@@ -504,7 +504,9 @@ def glue_plane_paths(grid: SiteGrid, m: int, m1: int) -> GluedPath:
     middle path has at least max(2, m1) sites; traversing a nice plane
     switches the walk to the opposite band, otherwise the walk slides along
     the same band.  Falls back to the plain 3-d heuristic when fewer than
-    two planes can be chained.
+    two planes can be chained, or when the chain traverses no nice plane:
+    such a walk only routes from jump site to jump site, and can be a few
+    sites long.
     """
     if len(grid.dims) < 3:
         raise ValueError("plane gluing needs at least three axes")
@@ -575,7 +577,7 @@ def glue_plane_paths(grid: SiteGrid, m: int, m1: int) -> GluedPath:
             break
         side = next_side
         entry = exit_site
-    if chained < 2:
+    if chained < 2 or nice_traversed == 0:
         return _fallback_glued(grid)
     return GluedPath(tuple(total), chained, nice_traversed, min_len, False)
 

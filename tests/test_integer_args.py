@@ -16,6 +16,7 @@ from geocp.contact import (ContactConfig, birth_death_clique_simulate, lit_snaps
 from geocp.errors import as_real, as_vertex_set
 from geocp.exact import (clique_extinction_rates, exact_expected_extinction_ctmc,
                          log_exact_clique_extinction, sample_clique_extinction_times)
+from geocp.experiments import ExperimentConfig, run_experiment
 from geocp.graphs import (CaterpillarSpec, Graph, build_caterpillar, build_complete,
                           random_connected_graph)
 from geocp.percolation import (SiteGrid, crossing_frequency, has_crossing,
@@ -103,6 +104,7 @@ def test_numpy_integers_are_accepted_as_python_ints():
 _CFG = ContactConfig(1.0, 5.0, seed=3)
 _CLOUD = PointCloud(np.array([[0.5, 0.5], [0.6, 0.5]]), 1.0)
 _EMBEDDING = CaterpillarEmbedding(((0, 0),), ((0, 1),), (0,), 2)
+_EXP1 = ExperimentConfig("exp1-test", 1)
 
 REFUSED_VALUES = [
     (lit_snapshots, (build_caterpillar(CaterpillarSpec(1, 4)), _CFG, math.inf)),  # once took time nan
@@ -133,6 +135,14 @@ REFUSED_VALUES = [
     (simulate_rate_coupled, (_K3, [1.0], 2.5, 1.0)),
     (ContactConfig, (1.0, 5.0, 2.5)),  # once accepted, to fail later
     (ContactConfig, (1.0, 5.0, True)),
+    (ExperimentConfig, ("exp1-test", 1.5)),  # once a bare TypeError
+    (ExperimentConfig, ("exp1-test", True)),  # once ran as seed 1
+    (ExperimentConfig, ("exp1-test", 1, 2.5)),  # once accepted
+    (ExperimentConfig, ("exp1-test", 1, "2")),  # once a bare TypeError
+    (ExperimentConfig, ("exp1-test", 1, 0)),
+    (run_experiment, (_EXP1, None, 0)),  # once ran serially
+    (run_experiment, (_EXP1, None, -2)),
+    (run_experiment, (_EXP1, None, 2.5)),
 ]
 
 

@@ -178,6 +178,12 @@ def test_glue_falls_back_when_structure_absent():
     res = glue_plane_paths(grid, 3, 2)
     assert res.used_fallback
     assert path_is_valid(grid, res.path)
+    # the walk chains 3 planes through band crossings alone, traversing no
+    # nice plane: 3 sites, where the whole-grid search finds 303
+    grid = sample_site_grid((8, 8, 8), 0.65, 503)
+    res = glue_plane_paths(grid, 1, 1)
+    assert res.used_fallback
+    assert res.path == tuple(find_long_open_path(grid))
     with pytest.raises(ValueError):
         glue_plane_paths(sample_site_grid((5, 5), 0.9, 1), 1, 1)
 
@@ -208,7 +214,8 @@ def test_site_percolation_golden():
                      ((5, 5, 5), 1.0, 0), ((4, 6, 8), 0.6, 10), ((3, 3, 3, 3), 0.6, 11)])
     paths = [find_long_open_path(sample_site_grid(d, p, s)) for d, p, s in path_cells]
     # the 8^3 cells reach every branch of the plane router and of the exit
-    # choice; (4, 6, 6) falls back, and the 4-d grid glues its first three axes
+    # choice; (4, 6, 6) falls back, as do (0.55, 500) and (0.65, 503), whose
+    # walks traverse no nice plane; the 4-d grid glues its first three axes
     glue_cells = [((12, 12, 12), 1.0, 0, 2, 2), ((8, 8, 8), 0.45, 500, 1, 1),
                   ((8, 8, 8), 0.55, 500, 1, 6), ((8, 8, 8), 0.65, 501, 1, 1),
                   ((8, 8, 8), 0.65, 503, 1, 1), ((8, 8, 8), 0.75, 502, 1, 1),
@@ -244,7 +251,7 @@ def test_site_percolation_golden():
         "path_lengths": [4, 3, 4, 5, 16, 75, 140, 470, 96, 8348, 1, 15, 64, 9,
                          73, 40, 162, 125, 111, 39],
         "paths": "812a571bd64c9c90",
-        "glued": "de87aa3ec3e65a6f",
+        "glued": "5a1369758d06ab5b",
         "crossings": "a45cca34f2de991b",
         "embeddings": "c4ce3e0eaab24d8b",
         "structure": "fe9052a9a636897f",
